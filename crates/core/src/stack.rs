@@ -1370,10 +1370,22 @@ fn register_self_collectors(
                     r.rerouted_records as f64,
                 ),
                 single(
-                    "omni_loki_wal_records_total",
-                    "Records appended to the WAL.",
-                    Counter,
+                    "omni_loki_wal_records",
+                    "Records currently held across shard WALs.",
+                    Gauge,
                     r.wal_records as f64,
+                ),
+                single(
+                    "omni_loki_wal_bytes",
+                    "Bytes currently held across shard WAL segments.",
+                    Gauge,
+                    r.wal_bytes as f64,
+                ),
+                single(
+                    "omni_loki_wal_segments",
+                    "WAL segments currently held across shards.",
+                    Gauge,
+                    r.wal_segments as f64,
                 ),
             ]
         });
@@ -1850,6 +1862,36 @@ mod tests {
             CHUNK_FILL_BUCKETS,
         );
         assert!(fill.count() > 0, "sealed chunks fed the fill-ratio histogram");
+    }
+
+    #[test]
+    fn wal_gauges_fall_after_offload() {
+        let mut stack = MonitoringStack::new(StackConfig::default());
+        for _ in 0..3 {
+            stack.step(minute(), 200, 50);
+        }
+        let gauge = |stack: &MonitoringStack, name: &str| {
+            let family = stack
+                .registry()
+                .gather()
+                .into_iter()
+                .find(|f| f.name == name)
+                .unwrap_or_else(|| panic!("{name} not registered"));
+            assert_eq!(family.kind, InstrumentKind::Gauge, "{name}");
+            family.samples[0].value
+        };
+        let held = gauge(&stack, "omni_loki_wal_records");
+        assert!(held > 0.0, "steps appended to the WAL");
+        assert!(gauge(&stack, "omni_loki_wal_bytes") > 0.0);
+        assert!(gauge(&stack, "omni_loki_wal_segments") > 0.0);
+        // Seal every head chunk and offload it: the checkpoint behind the
+        // offload drops the records now durable in the chunk store.
+        let loki = stack.omni.loki();
+        loki.flush();
+        stack.clock.advance(minute());
+        loki.offload(0);
+        let after = gauge(&stack, "omni_loki_wal_records");
+        assert!(after < held, "WAL records gauge must fall after an offload: {held} -> {after}");
     }
 
     #[test]

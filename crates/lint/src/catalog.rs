@@ -84,7 +84,9 @@ impl Catalog {
             "omni_loki_crashes_total",
             "omni_loki_wal_replayed_total",
             "omni_loki_rerouted_total",
-            "omni_loki_wal_records_total",
+            "omni_loki_wal_records",
+            "omni_loki_wal_bytes",
+            "omni_loki_wal_segments",
             "omni_delivery_enqueued_total",
             "omni_delivery_attempts_total",
             "omni_delivery_delivered_total",

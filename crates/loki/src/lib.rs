@@ -107,6 +107,10 @@ pub struct ResilienceStats {
     pub wal_records: u64,
     /// Total WAL segment bytes across shards.
     pub wal_bytes: u64,
+    /// WAL segments currently held across shards.
+    pub wal_segments: u64,
+    /// WAL segments a checkpoint found undecodable and kept verbatim.
+    pub wal_corrupt_segments: u64,
     /// Records dropped from WALs by checkpoint truncation (durable in the
     /// chunk store, no longer needed for recovery).
     pub wal_checkpoint_drops: u64,
@@ -304,6 +308,8 @@ impl LokiCluster {
             rerouted_records: self.counters.rerouted.load(Ordering::Relaxed),
             wal_records: self.shards.iter().map(|s| s.wal.record_count()).sum(),
             wal_bytes: self.shards.iter().map(|s| s.wal.bytes() as u64).sum(),
+            wal_segments: self.shards.iter().map(|s| s.wal.segment_count() as u64).sum(),
+            wal_corrupt_segments: self.shards.iter().map(|s| s.wal.corrupt_segments() as u64).sum(),
             wal_checkpoint_drops: self.counters.wal_checkpoint_drops.load(Ordering::Relaxed),
             shards_up: (0..self.shards.len()).filter(|&i| self.shard_up(i)).count(),
             shards_total: self.shards.len(),

@@ -30,6 +30,23 @@ fn arb_record() -> impl Strategy<Value = LogRecord> {
         .prop_map(|(labels, ts, line)| LogRecord::new(labels, ts, line))
 }
 
+/// WALs spanning many segments: several hundred records over a few
+/// streams, lines of 100 to 200 bytes, timestamps rising with jitter so
+/// neighbouring segments overlap in time and some arrive out of order.
+fn arb_long_wal() -> impl Strategy<Value = Vec<LogRecord>> {
+    prop::collection::vec((0u8..4, -500i64..500, "[a-z0-9 ]{100,200}"), 600..1200).prop_map(
+        |rows| {
+            rows.into_iter()
+                .enumerate()
+                .map(|(i, (stream, jitter, line))| {
+                    let labels = LabelSet::from_pairs([("app", "fm"), ("n", &stream.to_string())]);
+                    LogRecord::new(labels, i as i64 * 100 + jitter, line)
+                })
+                .collect()
+        },
+    )
+}
+
 proptest! {
     /// Encode → replay returns exactly the appended records, in order.
     #[test]
@@ -94,5 +111,43 @@ proptest! {
             let out = c.query_logs(r#"{app="fm"}"#, -1, i64::MAX - 1, usize::MAX).unwrap();
             prop_assert_eq!(out.len() as i64, pushed, "no loss and no duplication");
         }
+    }
+
+    /// Across many segments, a checkpoint keeps exactly
+    /// `filter(ts >= bound)` with an exact drop count and never grows the
+    /// WAL, and a sequence of rising bounds ends where one checkpoint at
+    /// the last bound does.
+    #[test]
+    fn multi_segment_checkpoints_partition_by_timestamp(
+        records in arb_long_wal(),
+        batch in 1usize..40,
+        bounds in prop::collection::vec(-1_000i64..130_000, 1..6),
+    ) {
+        let mut bounds = bounds;
+        bounds.sort_unstable();
+        let stepped = Wal::new();
+        let single = Wal::new();
+        for chunk in records.chunks(batch) {
+            stepped.append_batch(chunk);
+            single.append_batch(chunk);
+        }
+        prop_assert!(stepped.segment_count() > 2, "{} segments", stepped.segment_count());
+
+        let mut dropped = 0;
+        for &bound in &bounds {
+            let before = stepped.bytes();
+            dropped += stepped.checkpoint(bound);
+            let expected: Vec<LogRecord> =
+                records.iter().filter(|r| r.entry.ts >= bound).cloned().collect();
+            prop_assert_eq!(dropped, records.len() - expected.len());
+            prop_assert_eq!(stepped.record_count(), expected.len() as u64);
+            prop_assert!(stepped.bytes() <= before);
+            prop_assert_eq!(stepped.replay().unwrap(), expected);
+        }
+
+        let last = bounds[bounds.len() - 1];
+        prop_assert_eq!(single.checkpoint(last), dropped);
+        prop_assert_eq!(single.replay().unwrap(), stepped.replay().unwrap());
+        prop_assert_eq!(single.bytes(), stepped.bytes());
     }
 }
