@@ -6,7 +6,7 @@
 //! targets.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use omni_bench::{corpus_end, syslog_corpus};
+use omni_bench::{corpus_logs, syslog_corpus};
 use omni_loki::{Limits, LokiCluster};
 use omni_model::SimClock;
 
@@ -62,14 +62,11 @@ fn bench(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("scan_query", target), &target, |b, &target| {
             let cluster = cluster_with_target(target);
             b.iter(|| {
-                let out = cluster
-                    .query_logs(
-                        black_box(r#"{cluster="perlmutter"} |= "kernel""#),
-                        0,
-                        corpus_end(),
-                        usize::MAX,
-                    )
-                    .unwrap();
+                let out = corpus_logs(
+                    &cluster,
+                    black_box(r#"{cluster="perlmutter"} |= "kernel""#),
+                    usize::MAX,
+                );
                 black_box(out.len())
             });
         });

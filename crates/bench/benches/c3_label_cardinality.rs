@@ -12,7 +12,7 @@
 //! table shows chunks created and index size exploding with cardinality.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use omni_bench::syslog_corpus;
+use omni_bench::{corpus_logs, syslog_corpus};
 use omni_loki::{Limits, LokiCluster};
 use omni_model::SimClock;
 
@@ -68,14 +68,11 @@ fn bench(c: &mut Criterion) {
             |b, &streams| {
                 let cluster = build(streams);
                 b.iter(|| {
-                    let out = cluster
-                        .query_logs(
-                            black_box(r#"{cluster="perlmutter"} |= "slurmd""#),
-                            0,
-                            omni_bench::corpus_end(),
-                            usize::MAX,
-                        )
-                        .unwrap();
+                    let out = corpus_logs(
+                        &cluster,
+                        black_box(r#"{cluster="perlmutter"} |= "slurmd""#),
+                        usize::MAX,
+                    );
                     black_box(out.len())
                 });
             },

@@ -9,7 +9,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use omni_baseline::FullTextStore;
-use omni_bench::{corpus_end, syslog_corpus};
+use omni_bench::{corpus_end, corpus_logs, syslog_corpus, vector_at};
 use omni_loki::{Limits, LokiCluster};
 use omni_model::SimClock;
 
@@ -85,14 +85,8 @@ fn bench(c: &mut Criterion) {
     g.throughput(Throughput::Elements(1));
     g.bench_function("needle_query_loki_grep", |b| {
         b.iter(|| {
-            let out = loki
-                .query_logs(
-                    black_box(r#"{cluster="perlmutter"} |= "lockup""#),
-                    0,
-                    corpus_end(),
-                    usize::MAX,
-                )
-                .unwrap();
+            let out =
+                corpus_logs(&loki, black_box(r#"{cluster="perlmutter"} |= "lockup""#), usize::MAX);
             black_box(out.len())
         });
     });
@@ -104,12 +98,11 @@ fn bench(c: &mut Criterion) {
     // kind of query Loki's label grouping is built for.
     g.bench_function("aggregation_loki_count_by_stream", |b| {
         b.iter(|| {
-            let v = loki
-                .query_instant(
-                    black_box(r#"sum(count_over_time({cluster="perlmutter"}[3h])) by (stream)"#),
-                    corpus_end(),
-                )
-                .unwrap();
+            let v = vector_at(
+                &loki,
+                black_box(r#"sum(count_over_time({cluster="perlmutter"}[3h])) by (stream)"#),
+                corpus_end(),
+            );
             black_box(v.len())
         });
     });

@@ -15,7 +15,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use omni_bench::{corpus_end, quick_mode, syslog_corpus, write_pr5_section};
 use omni_json::jsonv;
-use omni_loki::{Limits, LokiCluster};
+use omni_loki::{Limits, LokiCluster, QueryRequest, QueryResponse};
 use omni_model::{LogRecord, SimClock, NANOS_PER_SEC};
 use std::time::Instant;
 
@@ -45,9 +45,14 @@ fn refresh(cluster: &LokiCluster) -> (Vec<omni_logql::Matrix>, Vec<omni_model::L
     let end = corpus_end();
     let matrices = RANGE_PANELS
         .iter()
-        .map(|q| cluster.query_range(q, 0, end, STEP_NS).expect("panel query parses"))
+        .map(|&q| {
+            let req = QueryRequest::range(q, 0, end, STEP_NS);
+            cluster.query(&req).and_then(QueryResponse::into_matrix).expect("panel query parses")
+        })
         .collect();
-    let logs = cluster.query_logs(LOG_PANEL, 0, end, 200).expect("panel query parses");
+    let req = QueryRequest::logs(LOG_PANEL, 0, end, 200);
+    let logs =
+        cluster.query(&req).and_then(QueryResponse::into_streams).expect("panel query parses");
     (matrices, logs)
 }
 

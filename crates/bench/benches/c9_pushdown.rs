@@ -14,7 +14,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use omni_bench::{corpus_end, quick_mode, syslog_corpus, write_pr10_section};
 use omni_json::jsonv;
-use omni_loki::{Limits, LokiCluster, QueryStats};
+use omni_loki::{Limits, LokiCluster, QueryRequest, QueryStats};
 use omni_model::{LogRecord, SimClock, NANOS_PER_SEC};
 use std::time::Instant;
 
@@ -38,7 +38,10 @@ fn build_cluster(corpus: &[LogRecord], aggregation_pushdown: bool) -> LokiCluste
 /// One panel refresh against the full corpus window, with the stats the
 /// frontend accumulated for it.
 fn refresh(cluster: &LokiCluster) -> (omni_logql::Matrix, QueryStats) {
-    cluster.query_range_with_stats(PANEL, 0, corpus_end(), STEP_NS).expect("panel query parses")
+    let response =
+        cluster.query(&QueryRequest::range(PANEL, 0, corpus_end(), STEP_NS)).expect("panel query");
+    let stats = response.report.stats;
+    (response.into_matrix().expect("a metric panel"), stats)
 }
 
 fn pr10_pushdown_report() {

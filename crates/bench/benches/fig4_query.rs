@@ -2,7 +2,7 @@
 //! store carrying realistic background traffic.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use omni_bench::{corpus_end, loaded_cluster};
+use omni_bench::{corpus_end, corpus_logs, loaded_cluster};
 use omni_core::redfish_to_loki;
 use omni_redfish::RedfishEvent;
 
@@ -19,36 +19,28 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("needle_query_redfish_event", |b| {
         b.iter(|| {
-            let out = cluster
-                .query_logs(
-                    black_box(r#"{data_type="redfish_event"} |= "CabinetLeakDetected""#),
-                    0,
-                    corpus_end(),
-                    100,
-                )
-                .unwrap();
+            let out = corpus_logs(
+                &cluster,
+                black_box(r#"{data_type="redfish_event"} |= "CabinetLeakDetected""#),
+                100,
+            );
             assert_eq!(out.len(), 1);
             black_box(out)
         });
     });
     g.bench_function("selector_only_syslog_count", |b| {
         b.iter(|| {
-            let out = cluster
-                .query_logs(black_box(r#"{stream="5"}"#), 0, corpus_end(), usize::MAX)
-                .unwrap();
+            let out = corpus_logs(&cluster, black_box(r#"{stream="5"}"#), usize::MAX);
             black_box(out.len())
         });
     });
     g.bench_function("line_filter_over_all_syslog", |b| {
         b.iter(|| {
-            let out = cluster
-                .query_logs(
-                    black_box(r#"{data_type="syslog"} |= "soft lockup""#),
-                    0,
-                    corpus_end(),
-                    usize::MAX,
-                )
-                .unwrap();
+            let out = corpus_logs(
+                &cluster,
+                black_box(r#"{data_type="syslog"} |= "soft lockup""#),
+                usize::MAX,
+            );
             black_box(out.len())
         });
     });

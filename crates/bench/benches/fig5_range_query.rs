@@ -3,10 +3,13 @@
 //! (range query at fixed steps).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use omni_bench::{corpus_end, loaded_cluster, quick_mode, syslog_corpus, write_pr3_section};
+use omni_bench::{
+    corpus_end, loaded_cluster, quick_mode, syslog_corpus, vector_at, write_pr3_section,
+};
 use omni_core::redfish_to_loki;
 use omni_json::jsonv;
 use omni_loki::chunk::SealedChunk;
+use omni_loki::QueryRequest;
 use omni_model::{LogEntry, NANOS_PER_SEC};
 use omni_redfish::RedfishEvent;
 use std::collections::BTreeMap;
@@ -119,29 +122,26 @@ fn bench(c: &mut Criterion) {
     g.sample_size(20);
     g.bench_function("instant_count_over_time_60m", |b| {
         b.iter(|| {
-            let v = cluster
-                .query_instant(black_box(FIG5_QUERY), corpus_end() / 2 + NANOS_PER_SEC)
-                .unwrap();
+            let v = vector_at(&cluster, black_box(FIG5_QUERY), corpus_end() / 2 + NANOS_PER_SEC);
             assert_eq!(v.len(), 1);
             black_box(v)
         });
     });
     g.bench_function("range_grafana_graph_24_steps", |b| {
         b.iter(|| {
-            let m = cluster
-                .query_range(black_box(FIG5_QUERY), 0, corpus_end(), corpus_end() / 24)
-                .unwrap();
+            let req =
+                QueryRequest::range(black_box(FIG5_QUERY), 0, corpus_end(), corpus_end() / 24);
+            let m = cluster.query(&req).unwrap().into_matrix().unwrap();
             black_box(m)
         });
     });
     g.bench_function("rate_over_syslog_stream", |b| {
         b.iter(|| {
-            let v = cluster
-                .query_instant(
-                    black_box(r#"sum(rate({data_type="syslog"}[5m])) by (stream)"#),
-                    corpus_end() / 2,
-                )
-                .unwrap();
+            let v = vector_at(
+                &cluster,
+                black_box(r#"sum(rate({data_type="syslog"}[5m])) by (stream)"#),
+                corpus_end() / 2,
+            );
             black_box(v)
         });
     });

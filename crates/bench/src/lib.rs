@@ -1,7 +1,8 @@
 //! Shared workload helpers for the benchmark suite.
 
 use omni_json::{parse, Json};
-use omni_loki::{Limits, LokiCluster};
+use omni_logql::InstantVector;
+use omni_loki::{Limits, LokiCluster, QueryRequest, QueryResponse};
 use omni_model::{LabelSet, LogRecord, SimClock, NANOS_PER_SEC};
 use omni_shasta::{ShastaMachine, SyslogGenerator};
 use omni_xname::TopologySpec;
@@ -46,6 +47,18 @@ pub fn loaded_cluster(shards: usize, n: usize, streams: usize) -> LokiCluster {
 /// Window end covering the whole corpus.
 pub fn corpus_end() -> i64 {
     10_000 * NANOS_PER_SEC
+}
+
+/// The lines of a log query over the whole corpus window, newest first.
+pub fn corpus_logs(cluster: &LokiCluster, query: &str, limit: usize) -> Vec<LogRecord> {
+    let req = QueryRequest::logs(query, 0, corpus_end(), limit);
+    cluster.query(&req).and_then(QueryResponse::into_streams).expect("corpus query")
+}
+
+/// A metric query evaluated at `at`.
+pub fn vector_at(cluster: &LokiCluster, query: &str, at: i64) -> InstantVector {
+    let req = QueryRequest::instant(query, at);
+    cluster.query(&req).and_then(QueryResponse::into_vector).expect("instant query")
 }
 
 /// Whether the bench binary was invoked with `--quick` (the verify.sh

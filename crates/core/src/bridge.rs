@@ -627,7 +627,7 @@ fn cursors_for(
 mod tests {
     use super::*;
     use omni_json::Json;
-    use omni_loki::Limits;
+    use omni_loki::{Limits, QueryRequest};
     use omni_model::{parse_iso8601, SimClock, NANOS_PER_SEC};
 
     #[test]
@@ -703,7 +703,8 @@ mod tests {
 
     fn count_syslog(omni: &Omni, now: Timestamp) -> usize {
         // Loki ranges are (start, end]: start at -1 to include ts=0.
-        omni.loki().query_logs(r#"{data_type="syslog"}"#, -1, now + 1, usize::MAX).unwrap().len()
+        let req = QueryRequest::logs(r#"{data_type="syslog"}"#, -1, now + 1, usize::MAX);
+        omni.loki().query(&req).unwrap().into_streams().unwrap().len()
     }
 
     #[test]
@@ -806,8 +807,8 @@ mod tests {
         assert!(tracer.has_stage(ctx.trace_id, "loki_ingest"));
         // The stored record carries the trace id as a label, on top of
         // the exact Figure 3 labels.
-        let got =
-            omni.loki().query_logs(r#"{data_type="redfish_event"}"#, -1, i64::MAX, 10).unwrap();
+        let req = QueryRequest::logs(r#"{data_type="redfish_event"}"#, -1, i64::MAX, 10);
+        let got = omni.loki().query(&req).unwrap().into_streams().unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].labels.get("trace_id"), Some(ctx.encode().as_str()));
     }

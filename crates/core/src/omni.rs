@@ -8,7 +8,7 @@
 //! window (experiment C6).
 
 use omni_baseline::{Document, FullTextStore};
-use omni_loki::{IngestError, Limits, LokiCluster};
+use omni_loki::{Direction, IngestError, Limits, LokiCluster, QueryRequest, QueryResponse};
 use omni_model::{LabelSet, LogRecord, SimClock, Timestamp};
 use omni_tsdb::{Tsdb, TsdbConfig};
 use parking_lot::Mutex;
@@ -206,13 +206,9 @@ impl Omni {
         // Forward direction: the archive preserves oldest-first order so
         // a later restore can re-push records without tripping each
         // stream's ordering enforcement.
-        let records = self.loki.query_logs_directed(
-            query,
-            start,
-            end,
-            usize::MAX,
-            omni_loki::Direction::Forward,
-        )?;
+        let req =
+            QueryRequest::logs(query, start, end, usize::MAX).with_direction(Direction::Forward);
+        let records = self.loki.query(&req).and_then(QueryResponse::into_streams)?;
         let n = records.len();
         if n > 0 {
             self.archive.store(self.clock.now(), records);
@@ -242,6 +238,10 @@ mod tests {
     use super::*;
     use omni_model::{labels, NANOS_PER_SEC};
 
+    fn logs(o: &Omni, req: QueryRequest) -> Vec<LogRecord> {
+        o.loki().query(&req).unwrap().into_streams().unwrap()
+    }
+
     fn omni() -> Omni {
         let day = 86_400 * NANOS_PER_SEC;
         let limits = Limits { retention_ns: 730 * day, ..Default::default() };
@@ -268,7 +268,7 @@ mod tests {
         let (msgs, bytes) = o.ingest_totals();
         assert_eq!(msgs, 10);
         assert_eq!(bytes, 100);
-        assert_eq!(o.loki().query_logs(r#"{app="b"}"#, -1, 100, usize::MAX).unwrap().len(), 10);
+        assert_eq!(logs(&o, QueryRequest::logs(r#"{app="b"}"#, -1, 100, usize::MAX)).len(), 10);
         let (docs, _, _) = o.discovery_stats();
         assert_eq!(docs, 10, "discovery tier sees every batched record");
     }
@@ -290,12 +290,12 @@ mod tests {
         assert_eq!(archived, 5);
         o.clock().set(800 * day);
         o.loki().enforce_retention();
-        assert!(o.loki().query_logs(r#"{app="old"}"#, 0, 2 * day, 10).unwrap().is_empty());
+        assert!(logs(&o, QueryRequest::logs(r#"{app="old"}"#, 0, 2 * day, 10)).is_empty());
         // Restore from the archive: every record comes back, not just the
         // first one the per-stream ordering check happens to accept.
         let restored = o.restore_window(0, 2 * day);
         assert_eq!(restored, 5);
-        let back = o.loki().query_logs(r#"{app="old", restored="true"}"#, 0, 2 * day, 10).unwrap();
+        let back = logs(&o, QueryRequest::logs(r#"{app="old", restored="true"}"#, 0, 2 * day, 10));
         assert_eq!(back.len(), 5, "all restored records must be queryable");
         assert_eq!(back[0].entry.line, "ancient event 4", "backward query: newest first");
     }

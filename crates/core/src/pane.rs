@@ -8,6 +8,7 @@
 
 use crate::omni::Omni;
 use omni_logql::{InstantVector, Matrix};
+use omni_loki::{QueryRequest, QueryResponse};
 use omni_model::{format_iso8601, LogRecord, Timestamp};
 use omni_tsdb::{eval_instant, eval_range, parse_promql};
 use omni_xname::{ComponentKind, XName};
@@ -365,7 +366,8 @@ impl Pane {
         end: Timestamp,
         limit: usize,
     ) -> Result<Vec<LogRecord>, PaneError> {
-        self.omni.loki().query_logs(query, start, end, limit).map_err(PaneError::Loki)
+        let req = QueryRequest::logs(query, start, end, limit);
+        self.omni.loki().query(&req).and_then(QueryResponse::into_streams).map_err(PaneError::Loki)
     }
 
     /// Evaluate a LogQL metric query over a range (Figure 5's graph).
@@ -376,16 +378,8 @@ impl Pane {
         end: Timestamp,
         step_ns: i64,
     ) -> Result<Matrix, PaneError> {
-        self.omni.loki().query_range(query, start, end, step_ns).map_err(PaneError::Loki)
-    }
-
-    /// Evaluate a LogQL metric query at one instant.
-    pub fn log_metric_instant(
-        &self,
-        query: &str,
-        at: Timestamp,
-    ) -> Result<InstantVector, PaneError> {
-        self.omni.loki().query_instant(query, at).map_err(PaneError::Loki)
+        let req = QueryRequest::range(query, start, end, step_ns);
+        self.omni.loki().query(&req).and_then(QueryResponse::into_matrix).map_err(PaneError::Loki)
     }
 
     /// Evaluate a PromQL query at one instant.

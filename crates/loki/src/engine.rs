@@ -6,7 +6,7 @@ use crate::stream::ReadStats;
 use omni_logql::{
     eval::{eval_metric_at, eval_metric_range, step_grid, InstantVector, Matrix, RangeEntry},
     pushdown::{self, PartialAgg},
-    Expr, LogQuery, MetricQuery, Pipeline,
+    LogQuery, MetricQuery, Pipeline,
 };
 use omni_model::{LabelSet, LogEntry, LogRecord, Sample, Timestamp};
 use std::collections::BTreeMap;
@@ -120,21 +120,10 @@ fn gather(
 }
 
 /// Run a log query over `(start, end]`, returning up to `limit` records
-/// in `direction` order: `Backward` keeps the **newest** records when
-/// the limit bites (ties broken by labels for determinism — `Backward`
-/// is the exact reverse of the `Forward` total order).
-pub fn run_log_query(
-    shards: &[Arc<Ingester>],
-    query: &LogQuery,
-    start: Timestamp,
-    end: Timestamp,
-    limit: usize,
-    direction: Direction,
-) -> Vec<LogRecord> {
-    run_log_query_with_stats(shards, query, start, end, limit, direction).0
-}
-
-/// [`run_log_query`] plus execution statistics.
+/// in `direction` order plus execution statistics: `Backward` keeps the
+/// **newest** records when the limit bites (ties broken by labels for
+/// determinism — `Backward` is the exact reverse of the `Forward` total
+/// order).
 pub fn run_log_query_with_stats(
     shards: &[Arc<Ingester>],
     query: &LogQuery,
@@ -204,16 +193,7 @@ fn fetch_range_entries_with_stats(
     (out, stats)
 }
 
-/// Evaluate a metric query at one instant.
-pub fn run_instant_query(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    at: Timestamp,
-) -> InstantVector {
-    run_instant_query_with_stats(shards, query, at).0
-}
-
-/// [`run_instant_query`] plus execution statistics.
+/// Evaluate a metric query at one instant, plus execution statistics.
 pub fn run_instant_query_with_stats(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
@@ -229,23 +209,13 @@ pub fn run_instant_query_with_stats(
     (vector, stats)
 }
 
-/// Evaluate a metric query over a range at fixed steps (Grafana graphs).
+/// Evaluate a metric query over a range at fixed steps (Grafana graphs),
+/// plus execution statistics.
 ///
 /// The bottom log query's entries are fetched and pipeline-processed
 /// **once** for the whole `[start - range, end]` span; each step then
 /// slices the prefetched entries instead of re-decoding chunks, turning
 /// an O(steps x chunks) evaluation into O(chunks + steps x entries).
-pub fn run_range_query(
-    shards: &[Arc<Ingester>],
-    query: &MetricQuery,
-    start: Timestamp,
-    end: Timestamp,
-    step_ns: i64,
-) -> Matrix {
-    run_range_query_with_stats(shards, query, start, end, step_ns).0
-}
-
-/// [`run_range_query`] plus execution statistics.
 pub fn run_range_query_with_stats(
     shards: &[Arc<Ingester>],
     query: &MetricQuery,
@@ -255,7 +225,7 @@ pub fn run_range_query_with_stats(
 ) -> (Matrix, QueryStats) {
     let bottom = query.log_query();
     let range_ns = query.range_ns();
-    // `start` may be a sentinel near `i64::MIN` (cf. `run_expr_instant`);
+    // `start` may be a sentinel near `i64::MIN` (an unbounded window);
     // a plain subtraction would overflow past the minimum.
     let (mut prefetched, stats) =
         fetch_range_entries_with_stats(shards, bottom, start.saturating_sub(range_ns), end);
@@ -385,24 +355,11 @@ pub fn run_instant_query_pushdown(
     (vectors.pop().unwrap_or_default(), stats)
 }
 
-/// Evaluate a parsed expression at an instant: log queries return their
-/// match count (LogCLI-style), metric queries their vector.
-pub fn run_expr_instant(shards: &[Arc<Ingester>], expr: &Expr, at: Timestamp) -> InstantVector {
-    match expr {
-        Expr::Log(q) => {
-            // Counting only, so the direction is immaterial.
-            let records = run_log_query(shards, q, i64::MIN, at, usize::MAX, Direction::Forward);
-            vec![(LabelSet::new(), records.len() as f64)]
-        }
-        Expr::Metric(m) => run_instant_query(shards, m, at),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::limits::Limits;
-    use omni_logql::parse_expr;
+    use omni_logql::{parse_expr, Expr};
     use omni_model::{labels, NANOS_PER_SEC};
 
     fn shard_with(n: i64) -> Vec<Arc<Ingester>> {
@@ -430,7 +387,8 @@ mod tests {
         // so a limited query silently returned the *oldest* records.
         let shards = shard_with(100);
         let q = log_query(r#"{app="x"}"#);
-        let out = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Backward);
+        let (out, _) =
+            run_log_query_with_stats(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Backward);
         assert_eq!(out.len(), 10);
         assert!(out.windows(2).all(|w| w[0].entry.ts >= w[1].entry.ts), "newest first");
         assert_eq!(out[0].entry.ts, 99 * NANOS_PER_SEC, "limit keeps the newest records");
@@ -441,7 +399,8 @@ mod tests {
     fn forward_direction_returns_oldest_ascending() {
         let shards = shard_with(100);
         let q = log_query(r#"{app="x"}"#);
-        let out = run_log_query(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Forward);
+        let (out, _) =
+            run_log_query_with_stats(&shards, &q, i64::MIN, i64::MAX, 10, Direction::Forward);
         assert_eq!(out.len(), 10);
         assert!(out.windows(2).all(|w| w[0].entry.ts <= w[1].entry.ts), "oldest first");
         assert_eq!(out[0].entry.ts, 0);
@@ -465,9 +424,11 @@ mod tests {
         }
         let shards = vec![Arc::new(ing)];
         let q = log_query(r#"{app="x"}"#);
-        let fwd = run_log_query(&shards, &q, i64::MIN, i64::MAX, usize::MAX, Direction::Forward);
-        let mut bwd =
-            run_log_query(&shards, &q, i64::MIN, i64::MAX, usize::MAX, Direction::Backward);
+        let run = |direction| {
+            run_log_query_with_stats(&shards, &q, i64::MIN, i64::MAX, usize::MAX, direction).0
+        };
+        let fwd = run(Direction::Forward);
+        let mut bwd = run(Direction::Backward);
         bwd.reverse();
         assert_eq!(fwd, bwd);
     }
@@ -542,7 +503,7 @@ mod tests {
             assert_eq!(pstats.bytes_scanned, cstats.bytes_scanned, "{q}");
             // Instant evaluation decomposes identically.
             let (vi, _) = run_instant_query_pushdown(&shards, &mq, end);
-            assert_eq!(vi, run_instant_query(&shards, &mq, end), "{q} (instant)");
+            assert_eq!(vi, run_instant_query_with_stats(&shards, &mq, end).0, "{q} (instant)");
         }
     }
 
@@ -562,7 +523,7 @@ mod tests {
         ] {
             let mq = metric_query(q);
             let (pushed, _) = run_instant_query_pushdown(&shards, &mq, at);
-            assert_eq!(pushed, run_instant_query(&shards, &mq, at), "{q}");
+            assert_eq!(pushed, run_instant_query_with_stats(&shards, &mq, at).0, "{q}");
             assert!(!pushed.is_empty(), "{q}: the populated shards do contribute");
             assert!(pushed.iter().all(|(_, v)| v.is_finite() && *v != 0.0), "{q}: {pushed:?}");
         }
@@ -605,7 +566,7 @@ mod tests {
         };
         let start = i64::MIN + 1;
         let step = NANOS_PER_SEC;
-        let matrix = run_range_query(&shards, &mq, start, start + 2 * step, step);
+        let (matrix, _) = run_range_query_with_stats(&shards, &mq, start, start + 2 * step, step);
         assert!(matrix.is_empty(), "no data that far in the past");
     }
 }

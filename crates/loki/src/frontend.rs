@@ -7,19 +7,26 @@
 //! through its query-frontend: queries are split on
 //! `split_queries_by_interval` boundaries, the splits run in parallel,
 //! and each split's result is cached so the next refresh only executes
-//! the still-mutable tail. This module reproduces that shape:
+//! the still-mutable tail. This module reproduces that shape behind one
+//! entry point, [`QueryFrontend::query`], which takes a [`QueryRequest`]
+//! and answers with a [`QueryResponse`]:
 //!
-//! * [`QueryFrontend::run_log_query`] / [`QueryFrontend::run_range_query`]
-//!   split on absolute multiples of [`Limits::split_interval_ns`] —
-//!   alignment makes consecutive refreshes produce *identical* splits —
-//!   and fan the cache misses out over the engine's shard-scoped scan
-//!   threads;
+//! * log windows and metric step grids split on absolute multiples of
+//!   [`Limits::split_interval_ns`] — alignment makes consecutive
+//!   refreshes produce *identical* splits — and both go through one
+//!   split routine, generic over the cached result, that looks the
+//!   splits up in the cache, fans the misses out over the fair
+//!   scheduler, checks the limits, caches and merges;
 //! * results are cached per split, keyed by the normalized query text
 //!   and the split window, with the split's [`QueryStats`] stored
 //!   alongside so cache hits report truthful statistics;
 //! * cached windows are invalidated by appends landing inside them
 //!   (out-of-order data, restored archives), by retention sweeps
-//!   crossing them, and wholesale by shard crash/recovery;
+//!   crossing them, and wholesale by shard crash/recovery. Every
+//!   invalidation advances a cache generation, and a split that executed
+//!   while the generation moved is returned but not cached: it may have
+//!   missed an acknowledged append;
+//! * instant evaluations (the ruler) are neither split nor cached;
 //! * per-query limits — [`Limits::max_entries_per_query`],
 //!   [`Limits::max_bytes_scanned`], and the virtual-clock deadline
 //!   [`Limits::query_timeout_ns`] — reject oversized queries with a
@@ -30,9 +37,10 @@ use crate::ingester::Ingester;
 use crate::limits::{Limits, TenantLimits};
 use crate::scheduler::{FairScheduler, SchedulerStats};
 use crate::QueryError;
-use omni_logql::{InstantVector, LogQuery, Matrix, MetricQuery};
+use omni_logql::{Expr, InstantVector, Matrix, MetricQuery};
 use omni_model::lockwitness::{classes, OrderedMutex};
 use omni_model::{LabelSet, LogRecord, Sample, SimClock, TenantId, Timestamp};
+use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -90,6 +98,128 @@ impl QueryContext {
             max_entries_per_query: limits.max_entries_per_query,
             max_bytes_scanned: limits.max_bytes_scanned,
             weight: limits.query_weight,
+        }
+    }
+}
+
+/// When a [`QueryRequest`] is evaluated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum QueryTime {
+    /// The window `(start, end]`. A log query returns the lines in it; a
+    /// metric query is evaluated once, at `end`.
+    Window {
+        /// Window start (exclusive).
+        start: Timestamp,
+        /// Window end (inclusive).
+        end: Timestamp,
+    },
+    /// A metric query evaluated at `start, start + step_ns, ..` up to
+    /// `end` (Grafana's graphs).
+    Range {
+        /// First step.
+        start: Timestamp,
+        /// Last step bound (inclusive).
+        end: Timestamp,
+        /// Step width.
+        step_ns: i64,
+    },
+    /// A metric query evaluated at one instant (the ruler).
+    Instant(Timestamp),
+}
+
+/// One query: the parameters of Loki's `/query` and `/query_range`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryRequest {
+    /// `None` runs as the anonymous tenant under the cluster-wide limits,
+    /// with no admission and no scoping. `Some` passes the tenant's query
+    /// admission, sees only the tenant's streams, and uses the tenant's
+    /// partition of the results cache.
+    pub tenant: Option<TenantId>,
+    /// LogQL text; its normalized form is the cache key.
+    pub query: String,
+    /// Window, step grid, or instant.
+    pub time: QueryTime,
+    /// Log queries: the most lines returned.
+    pub limit: usize,
+    /// Log queries: which end of the window the limit keeps.
+    pub direction: Direction,
+}
+
+impl QueryRequest {
+    /// A log query over `(start, end]`: up to `limit` lines, newest
+    /// first (Loki's default direction).
+    pub fn logs(query: impl Into<String>, start: Timestamp, end: Timestamp, limit: usize) -> Self {
+        Self::new(query, QueryTime::Window { start, end }, limit)
+    }
+
+    /// A metric query over the step grid `start, start + step_ns, ..`.
+    pub fn range(query: impl Into<String>, start: Timestamp, end: Timestamp, step_ns: i64) -> Self {
+        Self::new(query, QueryTime::Range { start, end, step_ns }, usize::MAX)
+    }
+
+    /// A metric query at one instant.
+    pub fn instant(query: impl Into<String>, at: Timestamp) -> Self {
+        Self::new(query, QueryTime::Instant(at), usize::MAX)
+    }
+
+    fn new(query: impl Into<String>, time: QueryTime, limit: usize) -> Self {
+        Self { tenant: None, query: query.into(), time, limit, direction: Direction::default() }
+    }
+
+    /// The same request, run as `tenant`.
+    pub fn with_tenant(self, tenant: TenantId) -> Self {
+        Self { tenant: Some(tenant), ..self }
+    }
+
+    /// The same request, returning lines in `direction` order.
+    pub fn with_direction(self, direction: Direction) -> Self {
+        Self { direction, ..self }
+    }
+}
+
+/// A query's answer, shaped by the query kind and its [`QueryTime`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum QueryResult {
+    /// A log query's lines, each with its stream labels, in the
+    /// request's direction.
+    Streams(Vec<LogRecord>),
+    /// A metric query evaluated at one instant.
+    Vector(InstantVector),
+    /// A metric query evaluated over a step grid.
+    Matrix(Matrix),
+}
+
+/// The answer to a [`QueryRequest`]: the result plus its statistics.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryResponse {
+    /// Lines, vector, or matrix.
+    pub result: QueryResult,
+    /// Merged statistics and the per-split breakdown.
+    pub report: QueryReport,
+}
+
+impl QueryResponse {
+    /// The lines of a log query.
+    pub fn into_streams(self) -> Result<Vec<LogRecord>, QueryError> {
+        match self.result {
+            QueryResult::Streams(records) => Ok(records),
+            _ => Err(QueryError::WrongQueryKind("log query")),
+        }
+    }
+
+    /// The vector of a metric query evaluated at one instant.
+    pub fn into_vector(self) -> Result<InstantVector, QueryError> {
+        match self.result {
+            QueryResult::Vector(vector) => Ok(vector),
+            _ => Err(QueryError::WrongQueryKind("metric query")),
+        }
+    }
+
+    /// The matrix of a metric query evaluated over a step grid.
+    pub fn into_matrix(self) -> Result<Matrix, QueryError> {
+        match self.result {
+            QueryResult::Matrix(matrix) => Ok(matrix),
+            _ => Err(QueryError::WrongQueryKind("metric query")),
         }
     }
 }
@@ -245,14 +375,47 @@ struct CacheKey {
     direction: Direction,
 }
 
-#[derive(Clone)]
-enum CachedData {
-    Logs(Vec<LogRecord>),
-    Series(Matrix),
+/// What the split routine is generic over: a split result the cache can
+/// hold, and how split results join back into one answer.
+trait SplitResult: Any + Clone + Send {
+    /// Join split results, given in ascending window order, into the
+    /// query's answer. `stats` arrives as the sum over the splits.
+    fn merge(parts: Vec<Self>, key: &CacheKey, stats: &mut QueryStats) -> Self;
+}
+
+impl SplitResult for Vec<LogRecord> {
+    /// Splits cover disjoint ascending windows, and each is sorted in
+    /// the key's direction internally: concatenating them (newest split
+    /// first for backward) reproduces the global sort exactly. Each split
+    /// kept its own top-`limit`, and the global top-`limit` is a prefix
+    /// of their concatenation, so the per-split limit loses nothing.
+    fn merge(mut parts: Vec<Self>, key: &CacheKey, stats: &mut QueryStats) -> Self {
+        if key.direction == Direction::Backward {
+            parts.reverse();
+        }
+        let mut records: Vec<LogRecord> = parts.into_iter().flatten().collect();
+        records.truncate(key.limit);
+        stats.entries_returned = records.len();
+        records
+    }
+}
+
+impl SplitResult for Matrix {
+    /// Groups are ascending and disjoint on the step grid; appending
+    /// per-series samples in group order reproduces the unsplit
+    /// evaluation's ascending sample vectors.
+    fn merge(parts: Vec<Self>, _: &CacheKey, _: &mut QueryStats) -> Self {
+        let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
+        for (labels, samples) in parts.into_iter().flatten() {
+            series.entry(labels).or_default().extend(samples);
+        }
+        series.into_iter().collect()
+    }
 }
 
 struct CacheEntry {
-    data: CachedData,
+    /// The split's result: a `Vec<LogRecord>` or a `Matrix`.
+    data: Box<dyn Any + Send>,
     /// The split's execution statistics, replayed verbatim on a hit so
     /// warm and cold refreshes report the same truthful numbers.
     stats: QueryStats,
@@ -263,11 +426,42 @@ struct CacheEntry {
     end: Timestamp,
 }
 
+/// The split-results cache and its invalidation generation, under one
+/// lock.
+#[derive(Default)]
+struct ResultsCache {
+    entries: HashMap<CacheKey, CacheEntry>,
+    /// Advanced by every invalidation. A query notes it when its splits
+    /// miss and caches them only if it has not moved by the insert:
+    /// otherwise an append may have landed in a split's window after
+    /// the scan passed, while there was nothing cached to drop.
+    generation: u64,
+}
+
+/// One query's split plan: what the shared split routine needs beyond
+/// the executor itself.
+struct SplitPlan {
+    /// The cache identity every split shares; `start`/`end` are set per
+    /// split.
+    key: CacheKey,
+    /// The split windows, ascending.
+    bounds: Vec<(Timestamp, Timestamp)>,
+    /// How far before its start a split's result reads: `0` for log
+    /// splits, the range for metric steps.
+    lookback_ns: i64,
+    /// `Some(pushed down)` for metric queries, which feed the pushdown
+    /// counters.
+    pushdown: Option<bool>,
+    /// The whole query window, for the query record.
+    window: (Timestamp, Timestamp),
+}
+
 struct FrontendShared {
-    cache: OrderedMutex<HashMap<CacheKey, CacheEntry>>,
-    /// Newest `end` across cached entries: an append strictly newer than
-    /// this cannot invalidate anything, keeping the hot in-order ingest
-    /// path at one atomic load.
+    cache: OrderedMutex<ResultsCache>,
+    /// Newest `end` across cached entries and across splits that missed
+    /// since the last invalidation: an append strictly newer than this
+    /// can touch neither a cached nor an executing split, keeping the hot
+    /// in-order ingest path at one atomic load.
     max_cached_end: AtomicI64,
     splits: AtomicU64,
     hits: AtomicU64,
@@ -303,7 +497,7 @@ impl QueryFrontend {
     pub(crate) fn new(limits: Limits, clock: SimClock) -> Self {
         Self {
             shared: Arc::new(FrontendShared {
-                cache: OrderedMutex::new(&classes::LOKI_FRONTEND_CACHE, HashMap::new()),
+                cache: OrderedMutex::new(&classes::LOKI_FRONTEND_CACHE, ResultsCache::default()),
                 max_cached_end: AtomicI64::new(i64::MIN),
                 splits: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
@@ -329,7 +523,7 @@ impl QueryFrontend {
             cache_hits: self.shared.hits.load(Ordering::Relaxed),
             cache_misses: self.shared.misses.load(Ordering::Relaxed),
             rejected_total: self.shared.rejected.load(Ordering::Relaxed),
-            cached_entries: self.shared.cache.lock().len(),
+            cached_entries: self.shared.cache.lock().entries.len(),
             pushdown_queries: self.shared.pushdown_queries.load(Ordering::Relaxed),
             pushdown_fallbacks: self.shared.pushdown_fallbacks.load(Ordering::Relaxed),
             pushdown_partials: self.shared.pushdown_partials.load(Ordering::Relaxed),
@@ -376,23 +570,16 @@ impl QueryFrontend {
         self.shared.records.lock().drain(..).collect()
     }
 
-    fn record_query(
-        &self,
-        ctx: &QueryContext,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        report: &QueryReport,
-    ) {
+    fn record_query(&self, key: &CacheKey, window: (Timestamp, Timestamp), report: &QueryReport) {
         let mut records = self.shared.records.lock();
         while records.len() >= RECORD_CAP {
             records.pop_front();
         }
         records.push_back(QueryRecord {
-            tenant: ctx.tenant.clone(),
-            query: query.to_string(),
-            start,
-            end,
+            tenant: key.tenant.clone(),
+            query: key.query.clone(),
+            start: window.0,
+            end: window.1,
             report: report.clone(),
         });
     }
@@ -409,23 +596,17 @@ impl QueryFrontend {
         // newest timestamp, which ordering admission bounds by
         // `entry.ts + tolerance` — widen the span to cover the clamp.
         let max_ts = max_ts.saturating_add(self.limits.out_of_order_tolerance_ns);
-        let mut cache = self.shared.cache.lock();
         // Keep an entry only if the whole append range is outside its
         // data window (conservative: assumes any timestamp in
         // `[min_ts, max_ts]` may have been written).
-        cache.retain(|_, e| e.end < min_ts || e.data_start >= max_ts);
-        let new_max = cache.values().map(|e| e.end).max().unwrap_or(i64::MIN);
-        self.shared.max_cached_end.store(new_max, Ordering::Release);
+        self.invalidate(|e| e.end >= min_ts && e.data_start < max_ts);
     }
 
     /// Retention advanced to `horizon`: any cached window that depends on
     /// data at or before the horizon — including windows *spanning* it —
     /// may now disagree with storage.
     pub(crate) fn note_retention(&self, horizon: Timestamp) {
-        let mut cache = self.shared.cache.lock();
-        cache.retain(|_, e| e.data_start >= horizon);
-        let new_max = cache.values().map(|e| e.end).max().unwrap_or(i64::MIN);
-        self.shared.max_cached_end.store(new_max, Ordering::Release);
+        self.invalidate(|e| e.data_start < horizon);
     }
 
     /// The compactor deduplicated replayed chunks spanning
@@ -434,10 +615,7 @@ impl QueryFrontend {
     /// never triggers this — it preserves query results exactly — only
     /// dedup does.
     pub(crate) fn note_compaction(&self, min_ts: Timestamp, max_ts: Timestamp) {
-        let mut cache = self.shared.cache.lock();
-        cache.retain(|_, e| e.end < min_ts || e.data_start > max_ts);
-        let new_max = cache.values().map(|e| e.end).max().unwrap_or(i64::MIN);
-        self.shared.max_cached_end.store(new_max, Ordering::Release);
+        self.invalidate(|e| e.end >= min_ts && e.data_start <= max_ts);
     }
 
     /// Drop every cached result. Called on shard crash/recovery (WAL
@@ -445,8 +623,17 @@ impl QueryFrontend {
     /// hooks); public as an operator escape hatch and so benchmarks can
     /// re-measure cold-cache latency without rebuilding the cluster.
     pub fn invalidate_all(&self) {
-        self.shared.cache.lock().clear();
-        self.shared.max_cached_end.store(i64::MIN, Ordering::Release);
+        self.invalidate(|_| true);
+    }
+
+    /// Drop the entries `stale` selects and advance the generation, so
+    /// splits executing right now are not cached either.
+    fn invalidate(&self, stale: impl Fn(&CacheEntry) -> bool) {
+        let mut cache = self.shared.cache.lock();
+        cache.entries.retain(|_, e| !stale(e));
+        cache.generation += 1;
+        let newest = cache.entries.values().map(|e| e.end).max().unwrap_or(i64::MIN);
+        self.shared.max_cached_end.store(newest, Ordering::Release);
     }
 
     fn reject(&self, v: LimitViolation) -> QueryError {
@@ -493,373 +680,191 @@ impl QueryFrontend {
         self.shared.scheduler.take_waits()
     }
 
-    /// Split, cache, and limit a log query over `(start, end]` as the
-    /// anonymous tenant under the cluster-wide limits.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query(
-        &self,
-        shards: &[Arc<Ingester>],
-        text: &str,
-        query: &LogQuery,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_log_query_ctx(shards, &ctx, text, query, start, end, limit, direction)
-    }
-
-    /// Split, cache, and limit a log query over `(start, end]` for the
-    /// tenant in `ctx`. `text` is the original query string (the cache
-    /// key); `query` its parsed form. Results are merged in `direction`
-    /// order and truncated to `limit` — byte-identical to an unsplit
-    /// [`engine::run_log_query_with_stats`] call.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query_ctx(
+    /// Run one query for the tenant in `ctx`. `expr` is `req.query`
+    /// parsed (and, for a tenant, scoped to its streams); the request
+    /// text itself is the cache key.
+    ///
+    /// A log query over a window and a metric query over a step grid are
+    /// split, cached and merged by one routine; the answer equals an
+    /// unsplit [`engine::run_log_query_with_stats`] or
+    /// [`engine::run_range_query_with_stats`] call. A metric query at an
+    /// instant (or at a window's end) is evaluated unsplit and uncached.
+    /// A log query at an instant or over a step grid is
+    /// [`QueryError::WrongQueryKind`].
+    pub fn query(
         &self,
         shards: &[Arc<Ingester>],
         ctx: &QueryContext,
-        text: &str,
-        query: &LogQuery,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        self.run_log_query_report(shards, ctx, text, query, start, end, limit, direction)
-            .map(|(records, report)| (records, report.stats))
-    }
-
-    /// [`Self::run_log_query_ctx`] returning the full [`QueryReport`]:
-    /// the merged statistics plus the per-split breakdown (window,
-    /// cache hit or miss, scan statistics, scheduler queue wait).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_log_query_report(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        text: &str,
-        query: &LogQuery,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<(Vec<LogRecord>, QueryReport), QueryError> {
-        if limit > ctx.max_entries_per_query {
-            return Err(self.reject(LimitViolation::Entries {
-                limit: ctx.max_entries_per_query,
-                requested: limit,
-            }));
-        }
-        let deadline = self.deadline();
-        self.check_deadline(deadline)?;
-
-        let bounds = split_bounds(start, end, self.limits.split_interval_ns);
-        self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
-        let norm = normalize_query(text);
-        let key = |s: Timestamp, e: Timestamp| CacheKey {
+        req: &QueryRequest,
+        expr: &Expr,
+    ) -> Result<QueryResponse, QueryError> {
+        let key = |step_ns, limit, direction| CacheKey {
             tenant: ctx.tenant.clone(),
-            query: norm.clone(),
-            start: s,
-            end: e,
-            step_ns: 0,
+            query: normalize_query(&req.query),
+            start: 0,
+            end: 0,
+            step_ns,
             limit,
             direction,
         };
+        let interval = self.limits.split_interval_ns;
+        let (result, report) = match (expr, req.time) {
+            (Expr::Log(query), QueryTime::Window { start, end }) => {
+                if req.limit > ctx.max_entries_per_query {
+                    return Err(self.reject(LimitViolation::Entries {
+                        limit: ctx.max_entries_per_query,
+                        requested: req.limit,
+                    }));
+                }
+                let plan = SplitPlan {
+                    key: key(0, req.limit, req.direction),
+                    bounds: split_bounds(start, end, interval),
+                    lookback_ns: 0,
+                    pushdown: None,
+                    window: (start, end),
+                };
+                let (records, report) = self.run_splits(ctx, plan, |s, e| {
+                    engine::run_log_query_with_stats(shards, query, s, e, req.limit, req.direction)
+                })?;
+                (QueryResult::Streams(records), report)
+            }
+            (Expr::Metric(query), QueryTime::Range { start, end, step_ns }) => {
+                // Decomposable aggregations run map/reduce: each shard
+                // returns per-step partial aggregates and the frontend
+                // merges them — entries never ship. Everything else ships
+                // entries for central evaluation. Both produce identical
+                // matrices (the equivalence suite pins this), so cached
+                // splits are shared between modes.
+                let pushdown = self.pushes_down(query);
+                let plan = SplitPlan {
+                    key: key(step_ns, usize::MAX, Direction::Forward),
+                    bounds: range_groups(start, end, step_ns, interval),
+                    lookback_ns: query.range_ns(),
+                    pushdown: Some(pushdown),
+                    window: (start, end),
+                };
+                let (matrix, report) = self.run_splits(ctx, plan, |s, e| {
+                    if pushdown {
+                        engine::run_range_query_pushdown(shards, query, s, e, step_ns)
+                    } else {
+                        engine::run_range_query_with_stats(shards, query, s, e, step_ns)
+                    }
+                })?;
+                (QueryResult::Matrix(matrix), report)
+            }
+            (Expr::Metric(query), QueryTime::Window { end: at, .. } | QueryTime::Instant(at)) => {
+                let (vector, report) = self.run_instant(shards, ctx, query, at)?;
+                (QueryResult::Vector(vector), report)
+            }
+            (Expr::Log(_), QueryTime::Range { .. } | QueryTime::Instant(_)) => {
+                return Err(QueryError::WrongQueryKind("metric query"))
+            }
+        };
+        Ok(QueryResponse { result, report })
+    }
 
-        // Resolve each split from the cache; misses collect for a
-        // parallel pass.
-        let mut parts: Vec<Option<(Vec<LogRecord>, SplitStat)>> = Vec::with_capacity(bounds.len());
+    /// The split routine shared by log and range queries: resolve each
+    /// split from the cache, run the misses through the fair scheduler,
+    /// check the byte budget and the deadline, cache the fresh splits
+    /// (unless an invalidation ran meanwhile), merge, and record the
+    /// query.
+    fn run_splits<T: SplitResult>(
+        &self,
+        ctx: &QueryContext,
+        plan: SplitPlan,
+        exec: impl Fn(Timestamp, Timestamp) -> (T, QueryStats) + Sync,
+    ) -> Result<(T, QueryReport), QueryError> {
+        let deadline = self.deadline();
+        self.check_deadline(deadline)?;
+        let SplitPlan { key, bounds, lookback_ns, pushdown, window } = plan;
+        let split_key = |start: Timestamp, end: Timestamp| CacheKey { start, end, ..key.clone() };
+        self.shared.splits.fetch_add(bounds.len() as u64, Ordering::Relaxed);
+
+        let mut parts: Vec<Option<(T, SplitStat)>> = Vec::with_capacity(bounds.len());
         let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
-        {
+        let generation = {
             let cache = self.shared.cache.lock();
             let mut saved = self.shared.bytes_saved.lock();
             for (i, &(s, e)) in bounds.iter().enumerate() {
-                match cache.get(&key(s, e)) {
-                    Some(entry) => {
-                        let CachedData::Logs(records) = &entry.data else {
-                            parts.push(None);
-                            todo.push((i, s, e));
-                            continue;
-                        };
-                        saved.push(entry.stats.bytes_scanned as u64);
-                        parts.push(Some((
-                            records.clone(),
-                            SplitStat {
-                                start: s,
-                                end: e,
-                                cached: true,
-                                stats: entry.stats,
-                                queue_wait_vns: 0,
-                            },
-                        )));
+                let hit = cache.entries.get(&split_key(s, e)).and_then(|entry| {
+                    entry.data.downcast_ref::<T>().map(|data| (data.clone(), entry.stats))
+                });
+                match hit {
+                    Some((data, stats)) => {
+                        saved.push(stats.bytes_scanned as u64);
+                        let split =
+                            SplitStat { start: s, end: e, cached: true, stats, queue_wait_vns: 0 };
+                        parts.push(Some((data, split)));
                     }
                     None => {
+                        // Cover the window in the append fast path before
+                        // its scan starts, so an append landing in it
+                        // mid-scan reaches `invalidate` and moves the
+                        // generation. An append the scan did not see
+                        // took the shard lock after the scan's read of
+                        // it, so its `Acquire` load in `note_append`
+                        // observes this write.
+                        self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
                         parts.push(None);
                         todo.push((i, s, e));
                     }
                 }
             }
-        }
+            cache.generation
+        };
         self.shared.hits.fetch_add((bounds.len() - todo.len()) as u64, Ordering::Relaxed);
         self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
 
-        // Each split keeps its own direction-ordered top-`limit`; the
-        // global top-`limit` is a prefix of their concatenation, so the
-        // per-split limit loses nothing.
-        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, |s, e| {
-            engine::run_log_query_with_stats(shards, query, s, e, limit, direction)
-        });
-        self.check_bytes(
-            ctx.max_bytes_scanned,
-            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
-        )?;
+        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, exec);
+        let fresh_stats = || executed.iter().map(|(_, _, _, ((_, st), _))| st);
+        if let Some(pushed_down) = pushdown {
+            self.note_pushdown(pushed_down, fresh_stats());
+        }
+        self.check_bytes(ctx.max_bytes_scanned, fresh_stats().map(|st| st.bytes_scanned).sum())?;
         self.check_deadline(deadline)?;
 
         {
             let mut cache = self.shared.cache.lock();
-            for (i, s, e, ((records, stats), wait_vns)) in executed {
-                if cache.len() >= CACHE_MAX {
-                    cache.clear();
-                }
-                cache.insert(
-                    key(s, e),
-                    CacheEntry {
-                        data: CachedData::Logs(records.clone()),
-                        stats,
-                        data_start: s,
-                        end: e,
-                    },
-                );
-                self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
-                parts[i] = Some((
-                    records,
-                    SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns },
-                ));
-            }
-        }
-
-        // Splits cover disjoint ascending windows, and each is sorted in
-        // `direction` order internally — concatenating them (newest
-        // split first for backward) reproduces the global sort exactly.
-        let resolved: Vec<(Vec<LogRecord>, SplitStat)> = parts.into_iter().flatten().collect();
-        let splits: Vec<SplitStat> = resolved.iter().map(|(_, sp)| *sp).collect();
-        let ordered: Vec<(Vec<LogRecord>, SplitStat)> = match direction {
-            Direction::Forward => resolved,
-            Direction::Backward => {
-                let mut v = resolved;
-                v.reverse();
-                v
-            }
-        };
-        let mut merged = QueryStats::default();
-        let mut records = Vec::new();
-        for (part, split) in ordered {
-            merged.absorb(split.stats);
-            records.extend(part);
-        }
-        records.truncate(limit);
-        merged.entries_returned = records.len();
-        let report = QueryReport::from_splits(merged, splits);
-        self.record_query(ctx, &norm, start, end, &report);
-        Ok((records, report))
-    }
-
-    /// Split, cache, and limit a metric range query. The step grid is
-    /// partitioned into runs of steps sharing an aligned interval; each
-    /// run is an independent sub-query whose samples concatenate (per
-    /// series, ascending) into exactly what an unsplit
-    /// [`engine::run_range_query_with_stats`] call produces, because
-    /// every step is evaluated independently over its own lookback.
-    pub fn run_range_query(
-        &self,
-        shards: &[Arc<Ingester>],
-        text: &str,
-        query: &MetricQuery,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_range_query_ctx(shards, &ctx, text, query, start, end, step_ns)
-    }
-
-    /// [`Self::run_range_query`] for the tenant in `ctx`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_range_query_ctx(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        text: &str,
-        query: &MetricQuery,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        self.run_range_query_report(shards, ctx, text, query, start, end, step_ns)
-            .map(|(matrix, report)| (matrix, report.stats))
-    }
-
-    /// [`Self::run_range_query_ctx`] returning the full [`QueryReport`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_range_query_report(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        text: &str,
-        query: &MetricQuery,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryReport), QueryError> {
-        let deadline = self.deadline();
-        self.check_deadline(deadline)?;
-
-        let groups = range_groups(start, end, step_ns, self.limits.split_interval_ns);
-        self.shared.splits.fetch_add(groups.len() as u64, Ordering::Relaxed);
-        let norm = normalize_query(text);
-        let range_ns = query.range_ns();
-        let key = |s: Timestamp, e: Timestamp| CacheKey {
-            tenant: ctx.tenant.clone(),
-            query: norm.clone(),
-            start: s,
-            end: e,
-            step_ns,
-            limit: usize::MAX,
-            direction: Direction::Forward,
-        };
-
-        let mut parts: Vec<Option<(Matrix, SplitStat)>> = Vec::with_capacity(groups.len());
-        let mut todo: Vec<(usize, Timestamp, Timestamp)> = Vec::new();
-        {
-            let cache = self.shared.cache.lock();
-            let mut saved = self.shared.bytes_saved.lock();
-            for (i, &(s, e)) in groups.iter().enumerate() {
-                match cache.get(&key(s, e)) {
-                    Some(entry) => {
-                        let CachedData::Series(matrix) = &entry.data else {
-                            parts.push(None);
-                            todo.push((i, s, e));
-                            continue;
-                        };
-                        saved.push(entry.stats.bytes_scanned as u64);
-                        parts.push(Some((
-                            matrix.clone(),
-                            SplitStat {
-                                start: s,
-                                end: e,
-                                cached: true,
-                                stats: entry.stats,
-                                queue_wait_vns: 0,
-                            },
-                        )));
+            // An invalidation since the lookup may have covered data the
+            // fresh splits missed: return them, but do not cache them.
+            let cacheable = cache.generation == generation;
+            for (i, s, e, ((data, stats), wait_vns)) in executed {
+                if cacheable {
+                    if cache.entries.len() >= CACHE_MAX {
+                        cache.entries.clear();
                     }
-                    None => {
-                        parts.push(None);
-                        todo.push((i, s, e));
-                    }
-                }
-            }
-        }
-        self.shared.hits.fetch_add((groups.len() - todo.len()) as u64, Ordering::Relaxed);
-        self.shared.misses.fetch_add(todo.len() as u64, Ordering::Relaxed);
-
-        // Decomposable aggregations run map/reduce: each shard returns
-        // per-step partial aggregates and the frontend merges them —
-        // entries never ship. Everything else ships entries for central
-        // evaluation. Both produce identical matrices (the equivalence
-        // suite pins this), so cached splits are shared between modes.
-        let pushdown = self.pushes_down(query);
-        let executed = run_parallel(&self.shared.scheduler, ctx, &todo, |s, e| {
-            if pushdown {
-                engine::run_range_query_pushdown(shards, query, s, e, step_ns)
-            } else {
-                engine::run_range_query_with_stats(shards, query, s, e, step_ns)
-            }
-        });
-        self.note_pushdown(pushdown, executed.iter().map(|(_, _, _, ((_, st), _))| st));
-        self.check_bytes(
-            ctx.max_bytes_scanned,
-            executed.iter().map(|(_, _, _, ((_, st), _))| st.bytes_scanned).sum(),
-        )?;
-        self.check_deadline(deadline)?;
-
-        {
-            let mut cache = self.shared.cache.lock();
-            for (i, s, e, ((matrix, stats), wait_vns)) in executed {
-                if cache.len() >= CACHE_MAX {
-                    cache.clear();
-                }
-                cache.insert(
-                    key(s, e),
-                    CacheEntry {
-                        data: CachedData::Series(matrix.clone()),
+                    let entry = CacheEntry {
+                        data: Box::new(data.clone()),
                         stats,
-                        // The first step's lookback reaches `range`
-                        // behind the group start.
-                        data_start: s.saturating_sub(range_ns),
+                        data_start: s.saturating_sub(lookback_ns),
                         end: e,
-                    },
-                );
-                self.shared.max_cached_end.fetch_max(e, Ordering::AcqRel);
-                parts[i] = Some((
-                    matrix,
-                    SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns },
-                ));
+                    };
+                    cache.entries.insert(split_key(s, e), entry);
+                }
+                let split =
+                    SplitStat { start: s, end: e, cached: false, stats, queue_wait_vns: wait_vns };
+                parts[i] = Some((data, split));
             }
         }
 
-        // Groups are ascending and disjoint on the step grid; appending
-        // per-series samples in group order reproduces the unsplit
-        // evaluation's ascending sample vectors.
-        let resolved: Vec<(Matrix, SplitStat)> = parts.into_iter().flatten().collect();
-        let splits: Vec<SplitStat> = resolved.iter().map(|(_, sp)| *sp).collect();
+        let (data, splits): (Vec<T>, Vec<SplitStat>) = parts.into_iter().flatten().unzip();
         let mut merged = QueryStats::default();
-        let mut series: BTreeMap<LabelSet, Vec<Sample>> = BTreeMap::new();
-        for (matrix, split) in resolved {
+        for split in &splits {
             merged.absorb(split.stats);
-            for (labels, samples) in matrix {
-                series.entry(labels).or_default().extend(samples);
-            }
         }
+        let result = T::merge(data, &key, &mut merged);
         let report = QueryReport::from_splits(merged, splits);
-        self.record_query(ctx, &norm, start, end, &report);
-        Ok((series.into_iter().collect(), report))
+        self.record_query(&key, window, &report);
+        Ok((result, report))
     }
 
     /// Evaluate a metric query at one instant, under the per-query
-    /// limits. Instant queries are not split or cached (every ruler
-    /// evaluation uses a fresh `now`, so cache entries would never be
-    /// reused before an append invalidated them).
-    pub fn run_instant_query(
-        &self,
-        shards: &[Arc<Ingester>],
-        query: &MetricQuery,
-        at: Timestamp,
-    ) -> Result<(InstantVector, QueryStats), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        self.run_instant_query_ctx(shards, &ctx, query, at)
-    }
-
-    /// [`Self::run_instant_query`] for the tenant in `ctx`.
-    pub fn run_instant_query_ctx(
-        &self,
-        shards: &[Arc<Ingester>],
-        ctx: &QueryContext,
-        query: &MetricQuery,
-        at: Timestamp,
-    ) -> Result<(InstantVector, QueryStats), QueryError> {
-        self.run_instant_query_report(shards, ctx, query, at)
-            .map(|(vector, report)| (vector, report.stats))
-    }
-
-    /// [`Self::run_instant_query_ctx`] returning the full
-    /// [`QueryReport`]: one uncached "split" covering the instant's
-    /// lookback, with its scheduler queue wait. Instant evaluations are
-    /// not pushed into the query-record buffer — every ruler tick would
-    /// flood it with identical rule evaluations.
-    pub fn run_instant_query_report(
+    /// limits: one uncached "split" covering the instant's lookback.
+    /// Instant queries are not split or cached (every ruler evaluation
+    /// uses a fresh `now`, so cache entries would never be reused before
+    /// an append invalidated them), nor recorded — every ruler tick
+    /// would flood the record buffer with identical rule evaluations.
+    fn run_instant(
         &self,
         shards: &[Arc<Ingester>],
         ctx: &QueryContext,
@@ -895,8 +900,8 @@ impl QueryFrontend {
 /// Run `f` over every `(index, start, end)` work item, in parallel when
 /// there is more than one (the splits fan out exactly like the engine's
 /// shard scans: scoped threads, panics propagated). Every split —
-/// including the single-split fast path — passes through the fair
-/// scheduler, so a tenant's fan-out is metered against its virtual
+/// including a lone one, run on the calling thread — passes through the
+/// fair scheduler, so a tenant's fan-out is metered against its virtual
 /// time; each result carries the virtual nanoseconds its split queued.
 ///
 /// The whole batch reserves its tickets *before* any split runs: each
@@ -909,30 +914,24 @@ fn run_parallel<T: Send>(
     todo: &[(usize, Timestamp, Timestamp)],
     f: impl Fn(Timestamp, Timestamp) -> T + Sync,
 ) -> Vec<(usize, Timestamp, Timestamp, (T, u64))> {
-    let f = &f;
-    match todo {
-        [] => Vec::new(),
-        [(i, s, e)] => vec![(*i, *s, *e, sched.run_timed(&ctx.tenant, ctx.weight, || f(*s, *e)))],
-        many => {
-            let tickets: Vec<u64> =
-                many.iter().map(|_| sched.ticket(&ctx.tenant, ctx.weight)).collect();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = many
-                    .iter()
-                    .zip(tickets)
-                    .map(|(&(i, s, e), ticket)| {
-                        scope.spawn(move || (i, s, e, sched.run_ticket(ticket, || f(s, e))))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // As in `engine::gather`: a panicking split would yield a
-                    // silently partial result, so propagate it.
-                    .map(|h| h.join().expect("split scan panicked")) // lint:allow(no-unwrap)
-                    .collect()
-            })
-        }
+    let tickets: Vec<u64> = todo.iter().map(|_| sched.ticket(&ctx.tenant, ctx.weight)).collect();
+    let run = |(&(i, s, e), ticket): (&(usize, Timestamp, Timestamp), u64)| {
+        (i, s, e, sched.run_ticket(ticket, || f(s, e)))
+    };
+    if todo.len() < 2 {
+        return todo.iter().zip(tickets).map(run).collect();
     }
+    std::thread::scope(|scope| {
+        let run = &run;
+        let handles: Vec<_> =
+            todo.iter().zip(tickets).map(|job| scope.spawn(move || run(job))).collect();
+        handles
+            .into_iter()
+            // As in `engine::gather`: a panicking split would yield a
+            // silently partial result, so propagate it.
+            .map(|h| h.join().expect("split scan panicked")) // lint:allow(no-unwrap)
+            .collect()
+    })
 }
 
 /// Collapse whitespace outside string literals so textual variants of

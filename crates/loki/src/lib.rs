@@ -36,7 +36,8 @@ pub use chunkstore::{
 pub use compactor::{CompactionReport, Compactor, CompactorStats};
 pub use engine::{Direction, QueryStats};
 pub use frontend::{
-    FrontendStats, LimitViolation, QueryContext, QueryFrontend, QueryRecord, QueryReport, SplitStat,
+    FrontendStats, LimitViolation, QueryContext, QueryFrontend, QueryRecord, QueryReport,
+    QueryRequest, QueryResponse, QueryResult, QueryTime, SplitStat,
 };
 pub use ingester::{IngestError, Ingester, IngesterStats};
 pub use limits::{Limits, TenantLimits};
@@ -46,7 +47,7 @@ pub use tenant::{
     ShedReason, TenantRegistry, TenantRejection, TenantSnapshot, TenantState, TENANT_LABEL,
 };
 
-use omni_logql::{parse_expr, Expr, InstantVector, Matcher, Matrix, ParseError};
+use omni_logql::{parse_expr, Expr, Matcher, ParseError};
 use omni_model::lockwitness::{classes, OrderedRwLock};
 use omni_model::{LabelSet, LogEntry, LogRecord, SimClock, TenantId, Timestamp};
 use std::collections::HashMap;
@@ -64,7 +65,9 @@ const FP_CACHE_MAX: usize = 8_192;
 pub enum QueryError {
     /// The query text failed to parse.
     Parse(ParseError),
-    /// A log API was given a metric query or vice versa.
+    /// The query's kind does not fit the request: a log query asked for
+    /// at an instant or over a step grid, or a response read as a kind of
+    /// result it does not hold.
     WrongQueryKind(&'static str),
     /// The query frontend rejected the query for exceeding a per-query
     /// limit ([`Limits::max_entries_per_query`],
@@ -594,88 +597,30 @@ impl LokiCluster {
         }
     }
 
-    /// Run a log query string over `(start, end]` in Loki's default
-    /// backward direction: up to `limit` records, **newest first**.
-    pub fn query_logs(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        self.query_logs_directed(query, start, end, limit, Direction::default())
-    }
-
-    /// [`query_logs`](Self::query_logs) with an explicit direction:
-    /// `Forward` returns (and keeps, when the limit bites) the oldest
-    /// records, `Backward` the newest.
-    pub fn query_logs_directed(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        match parse_expr(query)? {
-            Expr::Log(q) => Ok(self
-                .frontend
-                .run_log_query(&self.shards(), query, &q, start, end, limit, direction)?
-                .0),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
+    /// Run one query — the cluster's single query API, behind Loki's
+    /// `/query` and `/query_range`. A request without a tenant runs as
+    /// the anonymous tenant under the cluster-wide limits. A request for
+    /// a tenant first passes the tenant's query admission, then runs under
+    /// its resolved limits with the tenant's scope matcher injected, in
+    /// its partition of the results cache, fair-scheduled against other
+    /// tenants. Either way the frontend splits, caches and limits it.
+    pub fn query(&self, req: &QueryRequest) -> Result<QueryResponse, QueryError> {
+        let ctx = match &req.tenant {
+            Some(tenant) => self.admit_query(tenant)?,
+            None => QueryContext::anonymous(&self.limits),
+        };
+        let mut expr = parse_expr(&req.query)?;
+        if let Some(tenant) = &req.tenant {
+            // Isolation is structural: with this matcher injected the
+            // selector physically cannot match another tenant's streams
+            // (or unscoped legacy streams, which carry no tenant label).
+            let scoped = match &mut expr {
+                Expr::Log(q) => q,
+                Expr::Metric(m) => m.log_query_mut(),
+            };
+            scoped.selector.matchers.push(Matcher::eq(TENANT_LABEL, tenant.as_str()));
         }
-    }
-
-    /// Run a log query and return execution statistics alongside the
-    /// records (Loki's query-stats response). Backward direction; cached
-    /// splits report the stats of the execution that filled them.
-    pub fn query_logs_with_stats(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
-        match parse_expr(query)? {
-            Expr::Log(q) => self.frontend.run_log_query(
-                &self.shards(),
-                query,
-                &q,
-                start,
-                end,
-                limit,
-                Direction::default(),
-            ),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
-    }
-
-    /// [`query_logs_with_stats`](Self::query_logs_with_stats) returning
-    /// the full [`QueryReport`]: the merged statistics plus the
-    /// per-split breakdown (cache hits and misses, per-split scan
-    /// statistics, scheduler queue waits) — Loki's statistics object on
-    /// the query response.
-    pub fn query_logs_with_report(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<(Vec<LogRecord>, QueryReport), QueryError> {
-        let ctx = QueryContext::anonymous(&self.limits);
-        match parse_expr(query)? {
-            Expr::Log(q) => self.frontend.run_log_query_report(
-                &self.shards(),
-                &ctx,
-                query,
-                &q,
-                start,
-                end,
-                limit,
-                Direction::default(),
-            ),
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
+        self.frontend.query(&self.shards(), &ctx, req, &expr)
     }
 
     /// All stream label sets matching a bare selector (the
@@ -689,51 +634,6 @@ impl LokiCluster {
         Ok(out)
     }
 
-    /// Evaluate a metric query string at one instant.
-    pub fn query_instant(&self, query: &str, at: Timestamp) -> Result<InstantVector, QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => Ok(self.frontend.run_instant_query(&self.shards(), &m, at)?.0),
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// Evaluate a metric query string over a range at `step_ns` intervals
-    /// (split and cached by the frontend).
-    pub fn query_range(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<Matrix, QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => {
-                Ok(self.frontend.run_range_query(&self.shards(), query, &m, start, end, step_ns)?.0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// [`query_range`](Self::query_range) returning the merged
-    /// [`QueryStats`] alongside the matrix. On the aggregation-pushdown
-    /// path `entries_shipped` stays `0` and `partials_merged` counts the
-    /// per-shard partial aggregates the frontend reduced; on the
-    /// entry-shipping path the converse holds.
-    pub fn query_range_with_stats(
-        &self,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<(Matrix, QueryStats), QueryError> {
-        match parse_expr(query)? {
-            Expr::Metric(m) => {
-                self.frontend.run_range_query(&self.shards(), query, &m, start, end, step_ns)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
     /// Admit one query for `tenant` and build its execution context, or
     /// shed with a typed rejection.
     fn admit_query(&self, tenant: &TenantId) -> Result<QueryContext, QueryError> {
@@ -743,99 +643,6 @@ impl LokiCluster {
             Err(reason) => {
                 Err(QueryError::TenantRejected(TenantRejection { tenant: tenant.clone(), reason }))
             }
-        }
-    }
-
-    /// The scope matcher confining a parsed query to one tenant's
-    /// streams. Isolation is structural: with this matcher injected the
-    /// selector physically cannot match another tenant's streams (or
-    /// unscoped legacy streams, which carry no tenant label at all).
-    fn tenant_matcher(tenant: &TenantId) -> Matcher {
-        Matcher::eq(TENANT_LABEL, tenant.as_str())
-    }
-
-    /// Tenant-scoped [`query_logs`](Self::query_logs): admission by the
-    /// tenant's query bucket, per-tenant entry/byte limits, the
-    /// tenant-partitioned results cache, and fair-scheduled splits.
-    pub fn query_logs_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        self.query_logs_directed_as(tenant, query, start, end, limit, Direction::default())
-    }
-
-    /// [`query_logs_as`](Self::query_logs_as) with an explicit direction.
-    pub fn query_logs_directed_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        limit: usize,
-        direction: Direction,
-    ) -> Result<Vec<LogRecord>, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Log(mut q) => {
-                q.selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self
-                    .frontend
-                    .run_log_query_ctx(
-                        &self.shards(),
-                        &ctx,
-                        query,
-                        &q,
-                        start,
-                        end,
-                        limit,
-                        direction,
-                    )?
-                    .0)
-            }
-            Expr::Metric(_) => Err(QueryError::WrongQueryKind("log query")),
-        }
-    }
-
-    /// Tenant-scoped [`query_instant`](Self::query_instant).
-    pub fn query_instant_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        at: Timestamp,
-    ) -> Result<InstantVector, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Metric(mut m) => {
-                m.log_query_mut().selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self.frontend.run_instant_query_ctx(&self.shards(), &ctx, &m, at)?.0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
-        }
-    }
-
-    /// Tenant-scoped [`query_range`](Self::query_range).
-    pub fn query_range_as(
-        &self,
-        tenant: &TenantId,
-        query: &str,
-        start: Timestamp,
-        end: Timestamp,
-        step_ns: i64,
-    ) -> Result<Matrix, QueryError> {
-        let ctx = self.admit_query(tenant)?;
-        match parse_expr(query)? {
-            Expr::Metric(mut m) => {
-                m.log_query_mut().selector.matchers.push(Self::tenant_matcher(tenant));
-                Ok(self
-                    .frontend
-                    .run_range_query_ctx(&self.shards(), &ctx, query, &m, start, end, step_ns)?
-                    .0)
-            }
-            Expr::Log(_) => Err(QueryError::WrongQueryKind("metric query")),
         }
     }
 
@@ -1043,10 +850,43 @@ impl LokiCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use omni_logql::{InstantVector, Matrix};
     use omni_model::{labels, NANOS_PER_SEC};
 
     fn cluster(shards: usize) -> LokiCluster {
         LokiCluster::new(shards, Limits::default(), SimClock::starting_at(0))
+    }
+
+    type Q<T> = Result<T, QueryError>;
+
+    fn logs(c: &LokiCluster, q: &str, s: i64, e: i64, n: usize) -> Q<Vec<LogRecord>> {
+        c.query(&QueryRequest::logs(q, s, e, n)).and_then(QueryResponse::into_streams)
+    }
+
+    fn logs_as(
+        c: &LokiCluster,
+        t: &TenantId,
+        q: &str,
+        s: i64,
+        e: i64,
+        n: usize,
+    ) -> Q<Vec<LogRecord>> {
+        let req = QueryRequest::logs(q, s, e, n).with_tenant(t.clone());
+        c.query(&req).and_then(QueryResponse::into_streams)
+    }
+
+    fn vector(c: &LokiCluster, q: &str, at: i64) -> Q<InstantVector> {
+        c.query(&QueryRequest::instant(q, at)).and_then(QueryResponse::into_vector)
+    }
+
+    fn matrix(c: &LokiCluster, q: &str, s: i64, e: i64, step: i64) -> Q<Matrix> {
+        c.query(&QueryRequest::range(q, s, e, step)).and_then(QueryResponse::into_matrix)
+    }
+
+    /// Every line of a log query, with its report.
+    fn logs_reported(c: &LokiCluster, q: &str, s: i64, e: i64) -> (Vec<LogRecord>, QueryReport) {
+        let response = c.query(&QueryRequest::logs(q, s, e, usize::MAX)).unwrap();
+        (response.clone().into_streams().unwrap(), response.report)
     }
 
     #[test]
@@ -1055,20 +895,18 @@ mod tests {
         for i in 0..20 {
             c.push(labels!("app" => "fm"), i * NANOS_PER_SEC, format!("event {i}")).unwrap();
         }
-        let out = c.query_logs(r#"{app="fm"} |= "event 1""#, -1, 100 * NANOS_PER_SEC, 100).unwrap();
+        let out = logs(&c, r#"{app="fm"} |= "event 1""#, -1, 100 * NANOS_PER_SEC, 100).unwrap();
         // "event 1" and "event 1x".
         assert_eq!(out.len(), 11);
         // Loki's default direction is backward: newest first.
         assert!(out.windows(2).all(|w| w[0].entry.ts >= w[1].entry.ts));
         // The forward direction yields the same set, oldest first.
         let fwd = c
-            .query_logs_directed(
-                r#"{app="fm"} |= "event 1""#,
-                -1,
-                100 * NANOS_PER_SEC,
-                100,
-                Direction::Forward,
+            .query(
+                &QueryRequest::logs(r#"{app="fm"} |= "event 1""#, -1, 100 * NANOS_PER_SEC, 100)
+                    .with_direction(Direction::Forward),
             )
+            .and_then(QueryResponse::into_streams)
             .unwrap();
         assert!(fwd.windows(2).all(|w| w[0].entry.ts <= w[1].entry.ts));
         assert_eq!(fwd.len(), out.len());
@@ -1100,25 +938,26 @@ mod tests {
         let c = cluster(2);
         let ts = 3_600 * NANOS_PER_SEC;
         c.push(labels!("data_type" => "redfish_event"), ts, "CabinetLeakDetected ...").unwrap();
-        let v = c
-            .query_instant(
-                r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" [60m])) by (data_type)"#,
-                ts + NANOS_PER_SEC,
-            )
-            .unwrap();
+        let q = r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" [60m])) by (data_type)"#;
+        let at = ts + NANOS_PER_SEC;
+        let v = vector(&c, q, at).unwrap();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].1, 1.0);
+        // A window request reads a metric query at the window's end.
+        let window = c.query(&QueryRequest::logs(q, 0, at, 10)).unwrap();
+        assert_eq!(window.into_vector().unwrap(), v);
     }
 
     #[test]
     fn wrong_query_kind_errors() {
         let c = cluster(1);
         assert!(matches!(
-            c.query_logs(r#"count_over_time({a="b"}[1m])"#, 0, 1, 1),
+            logs(&c, r#"count_over_time({a="b"}[1m])"#, 0, 1, 1),
             Err(QueryError::WrongQueryKind(_))
         ));
-        assert!(matches!(c.query_instant(r#"{a="b"}"#, 0), Err(QueryError::WrongQueryKind(_))));
-        assert!(matches!(c.query_instant("{oops", 0), Err(QueryError::Parse(_))));
+        assert!(matches!(vector(&c, r#"{a="b"}"#, 0), Err(QueryError::WrongQueryKind(_))));
+        assert!(matches!(matrix(&c, r#"{a="b"}"#, 0, 1, 1), Err(QueryError::WrongQueryKind(_))));
+        assert!(matches!(vector(&c, "{oops", 0), Err(QueryError::Parse(_))));
     }
 
     #[test]
@@ -1166,7 +1005,7 @@ mod tests {
         assert!(c.compressed_bytes() < before_mem, "memory should shrink");
         assert!(c.chunk_store().objects().object_count() > 0);
         // Every entry is still queryable across both tiers.
-        let out = c.query_logs(r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 100);
         // Ordered (backward: newest first) and exact.
         assert!(out.windows(2).all(|w| w[0].entry.ts >= w[1].entry.ts));
@@ -1190,7 +1029,7 @@ mod tests {
         c.clock().set(1_000 * NANOS_PER_SEC);
         c.enforce_retention();
         assert_eq!(c.chunk_store().objects().object_count(), 0);
-        assert!(c.query_logs(r#"{app="x"}"#, -1, 2_000 * NANOS_PER_SEC, 10).unwrap().is_empty());
+        assert!(logs(&c, r#"{app="x"}"#, -1, 2_000 * NANOS_PER_SEC, 10).unwrap().is_empty());
     }
 
     #[test]
@@ -1209,7 +1048,7 @@ mod tests {
         c.offload(0);
         let hot_objects = c.chunk_store().objects().list("chunks/").len();
         assert!(hot_objects > 1, "need several sealed objects to merge");
-        let before = c.query_logs(r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let before = logs(&c, r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
         let report = c.compact();
         assert!(report.chunks_merged > 0);
         assert!(c.chunk_store().cold().object_count() > 0, "compacted objects demoted to cold");
@@ -1219,8 +1058,8 @@ mod tests {
         );
         // Cold-cache re-read must return byte-for-byte identical results.
         c.frontend().invalidate_all();
-        let (after, stats) =
-            c.query_logs_with_stats(r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let (after, report) = logs_reported(&c, r#"{app="x"}"#, -1, 200 * NANOS_PER_SEC);
+        let stats = report.stats;
         assert_eq!(before, after, "compaction must not change query results");
         assert!(stats.cold_chunks_touched > 0, "the read was served from the cold tier");
     }
@@ -1241,13 +1080,13 @@ mod tests {
         c.chunk_store().persist(fp, &chunk);
         c.chunk_store().persist(fp, &chunk);
         c.clock().set(100 * NANOS_PER_SEC);
-        let dup = c.query_logs(r#"{app="replay"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let dup = logs(&c, r#"{app="replay"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(dup.len(), 20, "pre-compaction reads see the duplicate");
         let report = c.compact();
         assert_eq!(report.duplicates_dropped, 1);
         // The duplicate's window was invalidated in the results cache, so
         // the same query now reflects storage, not the stale cache.
-        let clean = c.query_logs(r#"{app="replay"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let clean = logs(&c, r#"{app="replay"}"#, -1, 100 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(clean.len(), 10);
     }
 
@@ -1280,8 +1119,8 @@ mod tests {
         // (0, 1_000] sits inside one aligned split interval, so the
         // frontend executes it as a single sub-query and the per-split
         // stream accounting stays exact.
-        let (records, stats) =
-            c.query_logs_with_stats(r#"{app=~"a|b"} |= "leak""#, 0, 1_000, usize::MAX).unwrap();
+        let (records, report) = logs_reported(&c, r#"{app=~"a|b"} |= "leak""#, 0, 1_000);
+        let stats = report.stats;
         assert_eq!(records.len(), 50);
         assert_eq!(stats.streams_matched, 2);
         assert_eq!(stats.entries_scanned, 100);
@@ -1314,11 +1153,11 @@ mod tests {
         let q = r#"sum(count_over_time({app=~"a.*"}[60s])) by (app)"#;
         let step = 30 * NANOS_PER_SEC;
         let end = 500 * NANOS_PER_SEC;
-        let matrix = c.query_range(q, 0, end, step).unwrap();
+        let matrix = matrix(&c, q, 0, end, step).unwrap();
         // Cross-check every sample against an independent instant query.
         for (labels, samples) in &matrix {
             for s in samples {
-                let v = c.query_instant(q, s.ts).unwrap();
+                let v = vector(&c, q, s.ts).unwrap();
                 let expected =
                     v.iter().find(|(l, _)| l == labels).map(|(_, val)| *val).unwrap_or(0.0);
                 assert_eq!(s.value, expected, "at ts {} for {labels}", s.ts);
@@ -1338,7 +1177,7 @@ mod tests {
                 )
                 .unwrap();
             }
-            let mut v = c.query_logs(r#"{cluster="perlmutter"}"#, -1, 1_000, usize::MAX).unwrap();
+            let mut v = logs(&c, r#"{cluster="perlmutter"}"#, -1, 1_000, usize::MAX).unwrap();
             v.sort_by(|a, b| a.entry.ts.cmp(&b.entry.ts).then_with(|| a.labels.cmp(&b.labels)));
             v
         };
@@ -1354,15 +1193,14 @@ mod tests {
         c.crash_shard(0);
         // In-memory state is gone: the fresh ingester serves nothing.
         assert!(!c.shard_up(0));
-        assert!(c
-            .query_logs(r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX)
+        assert!(logs(&c, r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX)
             .unwrap()
             .is_empty());
 
         let restored = c.recover_shard(0);
         assert_eq!(restored, 100);
         assert!(c.shard_up(0));
-        let out = c.query_logs(r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 100, "every pre-crash line must be queryable again");
 
         let r = c.resilience();
@@ -1386,13 +1224,13 @@ mod tests {
         }
         assert_eq!(c.resilience().rerouted_records, 10);
         // The rerouted entries landed (and were WAL'd) on the live shard.
-        let out = c.query_logs(r#"{app="steady"}"#, -1, 1_000, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="steady"}"#, -1, 1_000, usize::MAX).unwrap();
         assert_eq!(out.len(), 10);
         assert!(c.shards()[other].stream_count() >= 1);
 
         // After recovery everything — pre-crash and rerouted — is served.
         c.recover_shard(home);
-        let out = c.query_logs(r#"{app="steady"}"#, -1, 1_000, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="steady"}"#, -1, 1_000, usize::MAX).unwrap();
         assert_eq!(out.len(), 20, "zero loss across crash + reroute + recovery");
     }
 
@@ -1420,7 +1258,7 @@ mod tests {
         assert!(results.iter().all(|r| r.is_ok()));
         assert_eq!(serial.stats(), batched.stats());
         assert_eq!(serial.resilience().wal_records, batched.resilience().wal_records);
-        let q = |c: &LokiCluster| c.query_logs(r#"{id=~".+"}"#, -1, 1_000, usize::MAX).unwrap();
+        let q = |c: &LokiCluster| logs(c, r#"{id=~".+"}"#, -1, 1_000, usize::MAX).unwrap();
         assert_eq!(q(&serial), q(&batched));
     }
 
@@ -1489,7 +1327,7 @@ mod tests {
         // Recovery after the checkpoint must not duplicate offloaded data.
         c.crash_shard(0);
         c.recover_shard(0);
-        let out = c.query_logs(r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 50, "no duplicates from replaying checkpointed WAL");
     }
 
@@ -1508,7 +1346,7 @@ mod tests {
         assert_eq!(c.resilience().wal_records, 25, "down shard's WAL must be preserved");
 
         assert_eq!(c.recover_shard(0), 25);
-        let out = c.query_logs(r#"{app="fm"}"#, -1, 4_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="fm"}"#, -1, 4_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 25, "zero loss despite maintenance during downtime");
     }
 
@@ -1532,7 +1370,7 @@ mod tests {
         // is everything not yet offloaded, so recovery is lossless.
         c.crash_shard(0);
         c.recover_shard(0);
-        let out = c.query_logs(r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 40);
     }
 
@@ -1556,7 +1394,7 @@ mod tests {
             }
             c.clock().set(500 * NANOS_PER_SEC);
             c.enforce_retention();
-            c.query_logs(r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap()
+            logs(&c, r#"{app="x"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap()
         };
         let memory = run(false);
         let disk = run(true);
@@ -1574,18 +1412,18 @@ mod tests {
         }
         let end = 150 * 60 * NANOS_PER_SEC;
         let q = r#"{app="fm"}"#;
-        let (cold, cold_stats) = c.query_logs_with_stats(q, 0, end, usize::MAX).unwrap();
+        let (cold, cold_report) = logs_reported(&c, q, 0, end);
         let s = c.frontend().stats();
         assert_eq!(s.splits_total, 3, "2.5h window over 1h intervals");
         assert_eq!(s.cache_misses, 3);
         assert_eq!(s.cache_hits, 0);
 
-        let (warm, warm_stats) = c.query_logs_with_stats(q, 0, end, usize::MAX).unwrap();
+        let (warm, warm_report) = logs_reported(&c, q, 0, end);
         let s = c.frontend().stats();
         assert_eq!(s.cache_hits, 3, "second refresh is all cache hits");
         assert_eq!(s.cache_misses, 3);
         assert_eq!(warm, cold, "cache must be invisible in the results");
-        assert_eq!(warm_stats, cold_stats, "cached hits report truthful stats");
+        assert_eq!(warm_report.stats, cold_report.stats, "cached hits report truthful stats");
         assert!(c.frontend().take_bytes_saved().iter().sum::<u64>() > 0);
     }
 
@@ -1599,7 +1437,7 @@ mod tests {
         let end = 150 * 60 * NANOS_PER_SEC;
         let q = r#"{app="fm"}"#;
 
-        let (cold, report) = c.query_logs_with_report(q, 0, end, usize::MAX).unwrap();
+        let (cold, report) = logs_reported(&c, q, 0, end);
         assert_eq!(cold.len(), 149, "ts 0 is outside the exclusive start");
         assert_eq!(report.splits.len(), 3);
         assert_eq!(report.cache_misses, 3);
@@ -1618,7 +1456,7 @@ mod tests {
         assert_eq!(report.stats.entries_scanned, 149);
 
         // A warm refresh reports the same merged stats, now as hits.
-        let (warm, warm_report) = c.query_logs_with_report(q, 0, end, usize::MAX).unwrap();
+        let (warm, warm_report) = logs_reported(&c, q, 0, end);
         assert_eq!(warm, cold);
         assert_eq!(warm_report.stats, report.stats);
         assert_eq!(warm_report.cache_hits, 3);
@@ -1643,11 +1481,11 @@ mod tests {
         c.push(labels!("app" => "fm", "host" => "a"), 1_000 * NANOS_PER_SEC, "early").unwrap();
         let q = r#"{app="fm"}"#;
         let window = 2_000 * NANOS_PER_SEC;
-        assert_eq!(c.query_logs(q, 0, window, usize::MAX).unwrap().len(), 1);
-        assert_eq!(c.query_logs(q, 0, window, usize::MAX).unwrap().len(), 1); // cached
+        assert_eq!(logs(&c, q, 0, window, usize::MAX).unwrap().len(), 1);
+        assert_eq!(logs(&c, q, 0, window, usize::MAX).unwrap().len(), 1); // cached
 
         c.push(labels!("app" => "fm", "host" => "b"), 500 * NANOS_PER_SEC, "late arrival").unwrap();
-        let out = c.query_logs(q, 0, window, usize::MAX).unwrap();
+        let out = logs(&c, q, 0, window, usize::MAX).unwrap();
         assert_eq!(out.len(), 2, "cached window must drop when data lands inside it");
     }
 
@@ -1660,14 +1498,14 @@ mod tests {
         }
         let q = r#"{app="x"}"#;
         let window = 1_000 * NANOS_PER_SEC;
-        assert_eq!(c.query_logs(q, -1, window, usize::MAX).unwrap().len(), 50);
-        assert_eq!(c.query_logs(q, -1, window, usize::MAX).unwrap().len(), 50); // cached
+        assert_eq!(logs(&c, q, -1, window, usize::MAX).unwrap().len(), 50);
+        assert_eq!(logs(&c, q, -1, window, usize::MAX).unwrap().len(), 50); // cached
 
         // The horizon sweeps across the cached window.
         c.clock().set(500 * NANOS_PER_SEC);
         c.enforce_retention();
         assert!(
-            c.query_logs(q, -1, window, usize::MAX).unwrap().is_empty(),
+            logs(&c, q, -1, window, usize::MAX).unwrap().is_empty(),
             "retention must invalidate the cached window it swept through"
         );
     }
@@ -1679,10 +1517,10 @@ mod tests {
         let c = LokiCluster::new(1, limits, SimClock::starting_at(0));
         c.push(labels!("a" => "b"), 1, "x").unwrap();
         assert!(matches!(
-            c.query_logs(r#"{a="b"}"#, 0, 10, 6),
+            logs(&c, r#"{a="b"}"#, 0, 10, 6),
             Err(QueryError::LimitExceeded(LimitViolation::Entries { limit: 5, requested: 6 }))
         ));
-        assert_eq!(c.query_logs(r#"{a="b"}"#, 0, 10, 5).unwrap().len(), 1);
+        assert_eq!(logs(&c, r#"{a="b"}"#, 0, 10, 5).unwrap().len(), 1);
 
         // max_bytes_scanned bounds the line bytes a query may touch.
         let limits = Limits { max_bytes_scanned: 20, ..Default::default() };
@@ -1691,11 +1529,11 @@ mod tests {
             c.push(labels!("a" => "b"), i, "0123456789").unwrap();
         }
         assert!(matches!(
-            c.query_logs(r#"{a="b"}"#, -1, 100, usize::MAX),
+            logs(&c, r#"{a="b"}"#, -1, 100, usize::MAX),
             Err(QueryError::LimitExceeded(LimitViolation::BytesScanned { limit: 20, .. }))
         ));
         assert!(matches!(
-            c.query_instant(r#"count_over_time({a="b"}[1m])"#, 100),
+            vector(&c, r#"count_over_time({a="b"}[1m])"#, 100),
             Err(QueryError::LimitExceeded(LimitViolation::BytesScanned { .. }))
         ));
 
@@ -1705,12 +1543,12 @@ mod tests {
         let c = LokiCluster::new(1, limits, SimClock::starting_at(0));
         c.push(labels!("a" => "b"), 1, "x").unwrap();
         assert!(matches!(
-            c.query_logs(r#"{a="b"}"#, 0, 10, 1),
+            logs(&c, r#"{a="b"}"#, 0, 10, 1),
             Err(QueryError::LimitExceeded(LimitViolation::Deadline { .. }))
         ));
         assert_eq!(c.frontend().stats().rejected_total, 1);
         // The typed violation renders a readable message.
-        let err = c.query_logs(r#"{a="b"}"#, 0, 10, 1).unwrap_err();
+        let err = logs(&c, r#"{a="b"}"#, 0, 10, 1).unwrap_err();
         assert!(err.to_string().contains("deadline"));
     }
 
@@ -1734,13 +1572,13 @@ mod tests {
         let q = r#"sum(count_over_time({app=~"a.*"}[10m])) by (app)"#;
         let end = 300 * 60 * NANOS_PER_SEC;
         let step = 7 * 60 * NANOS_PER_SEC;
-        let a = split.query_range(q, 0, end, step).unwrap();
-        let b = unsplit.query_range(q, 0, end, step).unwrap();
+        let a = matrix(&split, q, 0, end, step).unwrap();
+        let b = matrix(&unsplit, q, 0, end, step).unwrap();
         assert_eq!(a, b, "interval splitting must not change results");
         assert!(split.frontend().stats().splits_total > 1, "the window did split");
         assert_eq!(unsplit.frontend().stats().splits_total, 1);
         // Warm pass: identical again.
-        assert_eq!(split.query_range(q, 0, end, step).unwrap(), b);
+        assert_eq!(matrix(&split, q, 0, end, step).unwrap(), b);
         assert!(split.frontend().stats().cache_hits > 0);
     }
 
@@ -1757,13 +1595,13 @@ mod tests {
         assert_eq!(c.recover_shard(0), 50);
         assert_eq!(c.recover_shard(0), 0, "second recovery must be a no-op");
         assert_eq!(c.recover_shard(0), 0);
-        let out = c.query_logs(r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 50, "replay must not duplicate entries");
         // A genuine second crash still recovers (and still exactly once).
         c.crash_shard(0);
         assert_eq!(c.recover_shard(0), 50);
         assert_eq!(c.recover_shard(0), 0);
-        let out = c.query_logs(r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
+        let out = logs(&c, r#"{app="fm"}"#, -1, 1_000 * NANOS_PER_SEC, usize::MAX).unwrap();
         assert_eq!(out.len(), 50);
     }
 
@@ -1779,8 +1617,8 @@ mod tests {
             c.push_as(&bob, labels!("app" => "fm"), i, format!("bob {i}")).unwrap();
         }
         // Same query text, same labels — each tenant sees only its own.
-        let a = c.query_logs_as(&alice, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
-        let b = c.query_logs_as(&bob, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
+        let a = logs_as(&c, &alice, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
+        let b = logs_as(&c, &bob, r#"{app="fm"}"#, -1, 1_000, 100).unwrap();
         assert_eq!(a.len(), 10);
         assert!(a.iter().all(|r| r.entry.line.starts_with("alice")));
         assert_eq!(b.len(), 5);
@@ -1788,11 +1626,17 @@ mod tests {
         // A tenant with no data gets nothing, even with warm caches for
         // the same query text (the cache is tenant-partitioned).
         let nobody = TenantId::new("nobody");
-        assert!(c.query_logs_as(&nobody, r#"{app="fm"}"#, -1, 1_000, 100).unwrap().is_empty());
+        assert!(logs_as(&c, &nobody, r#"{app="fm"}"#, -1, 1_000, 100).unwrap().is_empty());
         // The unscoped admin surface still sees everything.
-        assert_eq!(c.query_logs(r#"{app="fm"}"#, -1, 1_000, 100).unwrap().len(), 15);
+        assert_eq!(logs(&c, r#"{app="fm"}"#, -1, 1_000, 100).unwrap().len(), 15);
         // Metric queries are scoped the same way.
-        let av = c.query_instant_as(&alice, r#"count_over_time({app="fm"}[1m])"#, 999).unwrap();
+        let av = c
+            .query(
+                &QueryRequest::instant(r#"count_over_time({app="fm"}[1m])"#, 999)
+                    .with_tenant(alice.clone()),
+            )
+            .and_then(QueryResponse::into_vector)
+            .unwrap();
         assert_eq!(av.len(), 1);
         assert_eq!(av[0].1, 10.0);
     }
@@ -1840,10 +1684,10 @@ mod tests {
             TenantLimits { query_rate_per_sec: 0, query_burst: 0, ..TenantLimits::default() },
         );
         assert!(matches!(
-            c.query_logs_as(&noisy, r#"{app="burst"}"#, -1, 1_000, 10),
+            logs_as(&c, &noisy, r#"{app="burst"}"#, -1, 1_000, 10),
             Err(QueryError::TenantRejected(r)) if r.reason == ShedReason::QueryRateExceeded
         ));
-        assert_eq!(c.query_logs_as(&calm, r#"{app="steady"}"#, -1, 1_000, 100).unwrap().len(), 10);
+        assert_eq!(logs_as(&c, &calm, r#"{app="steady"}"#, -1, 1_000, 100).unwrap().len(), 10);
     }
 
     #[test]
@@ -1856,13 +1700,13 @@ mod tests {
             Err(IngestError::TenantRejected(_))
         ));
         assert!(matches!(
-            c.query_logs_as(&off, r#"{app="x"}"#, -1, 1, 1),
+            logs_as(&c, &off, r#"{app="x"}"#, -1, 1, 1),
             Err(QueryError::TenantRejected(_))
         ));
         // Re-enabling mid-session works (hot reload).
         c.tenants().clear_override(&off);
         c.push_as(&off, labels!("app" => "x"), 0, "back").unwrap();
-        assert_eq!(c.query_logs_as(&off, r#"{app="x"}"#, -1, 1, 10).unwrap().len(), 1);
+        assert_eq!(logs_as(&c, &off, r#"{app="x"}"#, -1, 1, 10).unwrap().len(), 1);
     }
 
     #[test]
@@ -1903,11 +1747,11 @@ mod tests {
         let (chunks, _) = c.enforce_retention();
         assert!(chunks > 0, "short tenant's chunks must age out");
         assert!(
-            c.query_logs_as(&short, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().is_empty(),
+            logs_as(&c, &short, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().is_empty(),
             "short tenant's data past its horizon must be gone"
         );
         assert_eq!(
-            c.query_logs_as(&long, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().len(),
+            logs_as(&c, &long, r#"{app="fm"}"#, -1, i64::MAX - 1, 100).unwrap().len(),
             5,
             "one tenant's retention must never delete another tenant's data"
         );

@@ -8,8 +8,8 @@
 //! pending → firing state machine per result series; transitions out emit
 //! resolved notifications.
 
-use crate::LokiCluster;
-use omni_logql::{parse_expr, pipeline::render_template, Expr, MetricQuery, ParseError};
+use crate::{LokiCluster, QueryContext, QueryRequest, QueryResponse};
+use omni_logql::{parse_expr, pipeline::render_template, Expr, ParseError};
 use omni_model::{LabelSet, Timestamp};
 use std::collections::HashMap;
 
@@ -135,7 +135,8 @@ struct ActiveAlert {
 /// transitions.
 pub struct Ruler {
     cluster: LokiCluster,
-    groups: Vec<(RuleGroup, Vec<MetricQuery>)>,
+    /// Each group with its rules' parsed expressions (all metric queries).
+    groups: Vec<(RuleGroup, Vec<Expr>)>,
     /// (group, rule index, series labels) → state.
     active: HashMap<(usize, usize, LabelSet), ActiveAlert>,
     last_eval: HashMap<usize, Timestamp>,
@@ -151,14 +152,13 @@ impl Ruler {
     pub fn add_group(&mut self, group: RuleGroup) -> Result<(), ParseError> {
         let mut parsed = Vec::with_capacity(group.rules.len());
         for rule in &group.rules {
-            match parse_expr(&rule.expr)? {
-                Expr::Metric(m) => parsed.push(m),
-                Expr::Log(_) => {
-                    return Err(ParseError {
-                        message: format!("rule {:?} must be a metric query", rule.name),
-                    })
-                }
+            let expr = parse_expr(&rule.expr)?;
+            if let Expr::Log(_) = expr {
+                return Err(ParseError {
+                    message: format!("rule {:?} must be a metric query", rule.name),
+                });
             }
+            parsed.push(expr);
         }
         self.groups.push((group, parsed));
         Ok(())
@@ -187,17 +187,19 @@ impl Ruler {
         let mut out = Vec::new();
         let (group, parsed) = &self.groups[gi];
         let group_rules: Vec<AlertingRule> = group.rules.clone();
-        let queries: Vec<MetricQuery> = parsed.clone();
-        for (ri, (rule, query)) in group_rules.iter().zip(queries.iter()).enumerate() {
+        let exprs: Vec<Expr> = parsed.clone();
+        let ctx = QueryContext::anonymous(&self.cluster.limits);
+        for (ri, (rule, expr)) in group_rules.iter().zip(exprs.iter()).enumerate() {
             // Rule queries go through the frontend so per-query limits
             // apply to the ruler too; a rejected query contributes no
             // series this cycle (the frontend counts the rejection).
-            let vector =
-                match self.cluster.frontend().run_instant_query(&self.cluster.shards(), query, now)
-                {
-                    Ok((v, _)) => v,
-                    Err(_) => Vec::new(),
-                };
+            let req = QueryRequest::instant(rule.expr.as_str(), now);
+            let vector = self
+                .cluster
+                .frontend()
+                .query(&self.cluster.shards(), &ctx, &req, expr)
+                .and_then(QueryResponse::into_vector)
+                .unwrap_or_default();
             let mut seen: Vec<LabelSet> = Vec::new();
             for (series_labels, value) in vector {
                 let key = (gi, ri, series_labels.clone());

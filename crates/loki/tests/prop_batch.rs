@@ -4,7 +4,7 @@
 //! index state, and identical WAL replay results (the batched WAL segment
 //! itself may be smaller: runs share one label-set frame).
 
-use omni_loki::{Ingester, Limits, LokiCluster, Wal};
+use omni_loki::{Ingester, Limits, LokiCluster, QueryRequest, Wal};
 use omni_model::{LabelSet, LogRecord, SimClock};
 use proptest::prelude::*;
 
@@ -89,7 +89,8 @@ proptest! {
         prop_assert!(batched.resilience().wal_bytes <= serial.resilience().wal_bytes);
 
         let q = |c: &LokiCluster| {
-            c.query_logs(r#"{app="x"}"#, i64::MIN, i64::MAX, usize::MAX).unwrap()
+            let req = QueryRequest::logs(r#"{app="x"}"#, i64::MIN, i64::MAX, usize::MAX);
+            c.query(&req).unwrap().into_streams().unwrap()
         };
         prop_assert_eq!(q(&serial), q(&batched));
     }
@@ -133,7 +134,8 @@ proptest! {
             framed.resilience().wal_records
         );
         let q = |c: &LokiCluster| {
-            c.query_logs(r#"{app="x"}"#, i64::MIN, i64::MAX, usize::MAX).unwrap()
+            let req = QueryRequest::logs(r#"{app="x"}"#, i64::MIN, i64::MAX, usize::MAX);
+            c.query(&req).unwrap().into_streams().unwrap()
         };
         prop_assert_eq!(q(&serial), q(&framed));
     }

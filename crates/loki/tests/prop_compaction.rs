@@ -6,7 +6,7 @@
 //! single query answer is data corruption, not housekeeping.
 
 use omni_loki::chunkstore::{labels_to_object, object_to_labels};
-use omni_loki::{Limits, LokiCluster, ObjectStore};
+use omni_loki::{Limits, LokiCluster, ObjectStore, QueryRequest, QueryResponse};
 use omni_model::{LabelSet, SimClock, NANOS_PER_SEC};
 use proptest::prelude::*;
 
@@ -90,7 +90,8 @@ proptest! {
             windows
                 .iter()
                 .map(|&(s, e)| {
-                    c.query_logs(r#"{app="equiv"}"#, s, e, usize::MAX)
+                    c.query(&QueryRequest::logs(r#"{app="equiv"}"#, s, e, usize::MAX))
+                        .and_then(QueryResponse::into_streams)
                         .unwrap_or_else(|err| panic!("{label} query failed: {err}"))
                 })
                 .collect()

@@ -6,7 +6,7 @@
 //! data lands inside a cached window.
 
 use omni_logql::{parse_expr, Expr, LogQuery, MetricQuery};
-use omni_loki::{Direction, Ingester, Limits, LokiCluster};
+use omni_loki::{Direction, Ingester, Limits, LokiCluster, QueryRequest};
 use omni_model::{LabelSet, LogRecord, SimClock};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -78,15 +78,16 @@ proptest! {
         let direction = if backward { Direction::Backward } else { Direction::Forward };
         let text = r#"{app="x"}"#;
         let q = log_query(text);
-        let direct = omni_loki::engine::run_log_query(
+        let (direct, _) = omni_loki::engine::run_log_query_with_stats(
             std::slice::from_ref(&single), &q, 0, end, limit, direction,
         );
 
-        let cold = cluster.query_logs_directed(text, 0, end, limit, direction).unwrap();
+        let request = QueryRequest::logs(text, 0, end, limit).with_direction(direction);
+        let cold = cluster.query(&request).unwrap().into_streams().unwrap();
         prop_assert_eq!(&cold, &direct);
 
         // Warm pass: served from the results cache, still identical.
-        let warm = cluster.query_logs_directed(text, 0, end, limit, direction).unwrap();
+        let warm = cluster.query(&request).unwrap().into_streams().unwrap();
         prop_assert_eq!(&warm, &direct);
         prop_assert!(cluster.frontend().stats().cache_hits > 0);
 
@@ -99,8 +100,8 @@ proptest! {
         );
         cluster.push_record(mid.clone()).unwrap();
         single.append(mid).unwrap();
-        let refreshed = cluster.query_logs_directed(text, 0, end, limit, direction).unwrap();
-        let direct = omni_loki::engine::run_log_query(
+        let refreshed = cluster.query(&request).unwrap().into_streams().unwrap();
+        let (direct, _) = omni_loki::engine::run_log_query_with_stats(
             &[single], &q, 0, end, limit, direction,
         );
         prop_assert_eq!(refreshed, direct);
@@ -122,14 +123,15 @@ proptest! {
         let text = format!(r#"sum by (stream) (count_over_time({{app="x"}}[{range_s}s]))"#);
         let m = metric_query(&text);
         let step_ns = step_s * 1_000_000_000;
-        let direct = omni_loki::engine::run_range_query(
+        let (direct, _) = omni_loki::engine::run_range_query_with_stats(
             std::slice::from_ref(&single), &m, 0, end, step_ns,
         );
 
-        let cold = cluster.query_range(&text, 0, end, step_ns).unwrap();
+        let range = QueryRequest::range(&text, 0, end, step_ns);
+        let cold = cluster.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&cold, &direct);
 
-        let warm = cluster.query_range(&text, 0, end, step_ns).unwrap();
+        let warm = cluster.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&warm, &direct);
 
         // An append inside a cached lookback window must invalidate the
@@ -141,8 +143,9 @@ proptest! {
         );
         cluster.push_record(mid.clone()).unwrap();
         single.append(mid).unwrap();
-        let refreshed = cluster.query_range(&text, 0, end, step_ns).unwrap();
-        let direct = omni_loki::engine::run_range_query(&[single], &m, 0, end, step_ns);
+        let refreshed = cluster.query(&range).unwrap().into_matrix().unwrap();
+        let (direct, _) =
+            omni_loki::engine::run_range_query_with_stats(&[single], &m, 0, end, step_ns);
         prop_assert_eq!(refreshed, direct);
     }
 }

@@ -11,7 +11,7 @@
 //! comparison — equality here is exact, not approximate.
 
 use omni_logql::{parse_expr, Expr, MetricQuery};
-use omni_loki::{Ingester, Limits, LokiCluster};
+use omni_loki::{Ingester, Limits, LokiCluster, QueryRequest};
 use omni_model::{LabelSet, LogRecord, SimClock, TenantId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -111,16 +111,19 @@ proptest! {
         let m = metric_query(&text);
         let decomposable = omni_logql::decomposable(&m);
         let step_ns = step_s * 1_000_000_000;
-        let direct = omni_loki::engine::run_range_query(
+        let (direct, _) = omni_loki::engine::run_range_query_with_stats(
             std::slice::from_ref(&single), &m, 0, end, step_ns,
         );
 
         // Cold: partial-merging and entry-shipping agree with the
         // unsplit, unsharded evaluation — and the pushdown path really
         // did move partials, not entries.
-        let (cold, stats) = pushdown.query_range_with_stats(&text, 0, end, step_ns).unwrap();
+        let range = QueryRequest::range(&text, 0, end, step_ns);
+        let response = pushdown.query(&range).unwrap();
+        let stats = response.report.stats;
+        let cold = response.into_matrix().unwrap();
         prop_assert_eq!(&cold, &direct);
-        let shipped = shipping.query_range(&text, 0, end, step_ns).unwrap();
+        let shipped = shipping.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&shipped, &direct);
         if decomposable {
             prop_assert_eq!(stats.entries_shipped, 0);
@@ -132,14 +135,15 @@ proptest! {
         }
 
         // Warm: served from the results cache, still identical.
-        let warm = pushdown.query_range(&text, 0, end, step_ns).unwrap();
+        let warm = pushdown.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&warm, &direct);
 
         // Instant evaluation decomposes the same way.
         let at = end / 2;
-        let instant = pushdown.query_instant(&text, at).unwrap();
-        let direct_instant =
-            omni_loki::engine::run_instant_query(std::slice::from_ref(&single), &m, at);
+        let instant = pushdown.query(&QueryRequest::instant(&text, at)).unwrap();
+        let instant = instant.into_vector().unwrap();
+        let (direct_instant, _) =
+            omni_loki::engine::run_instant_query_with_stats(std::slice::from_ref(&single), &m, at);
         prop_assert_eq!(&instant, &direct_instant);
 
         // Cache interleaving: an append invalidates the splits whose
@@ -153,10 +157,11 @@ proptest! {
         pushdown.push_record(mid.clone()).unwrap();
         shipping.push_record(mid.clone()).unwrap();
         single.append(mid).unwrap();
-        let direct = omni_loki::engine::run_range_query(&[single], &m, 0, end, step_ns);
-        let refreshed = pushdown.query_range(&text, 0, end, step_ns).unwrap();
+        let (direct, _) =
+            omni_loki::engine::run_range_query_with_stats(&[single], &m, 0, end, step_ns);
+        let refreshed = pushdown.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&refreshed, &direct);
-        let reshipped = shipping.query_range(&text, 0, end, step_ns).unwrap();
+        let reshipped = shipping.query(&range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&reshipped, &direct);
     }
 
@@ -185,12 +190,14 @@ proptest! {
 
         let text = QUERIES[query_idx].replace("RANGE", "30");
         let step_ns = step_s * 1_000_000_000;
-        let a = pushdown.query_range_as(&acme, &text, 0, end, step_ns).unwrap();
-        let b = shipping.query_range_as(&acme, &text, 0, end, step_ns).unwrap();
+        let acme_range = QueryRequest::range(&text, 0, end, step_ns).with_tenant(acme);
+        let a = pushdown.query(&acme_range).unwrap().into_matrix().unwrap();
+        let b = shipping.query(&acme_range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&a, &b);
         // And the other tenant's view is independently consistent.
-        let ra = pushdown.query_range_as(&rival, &text, 0, end, step_ns).unwrap();
-        let rb = shipping.query_range_as(&rival, &text, 0, end, step_ns).unwrap();
+        let rival_range = QueryRequest::range(&text, 0, end, step_ns).with_tenant(rival);
+        let ra = pushdown.query(&rival_range).unwrap().into_matrix().unwrap();
+        let rb = shipping.query(&rival_range).unwrap().into_matrix().unwrap();
         prop_assert_eq!(&ra, &rb);
     }
 }

@@ -2,7 +2,7 @@
 //! survive an encode → replay cycle bit-for-bit, including non-ASCII
 //! lines and negative (pre-epoch) timestamps exercising the zigzag path.
 
-use omni_loki::{Limits, LokiCluster, Wal};
+use omni_loki::{Limits, LokiCluster, QueryRequest, Wal};
 use omni_model::{LabelSet, LogRecord, SimClock};
 use proptest::prelude::*;
 
@@ -108,7 +108,8 @@ proptest! {
             for _ in 0..extra_recovers {
                 prop_assert_eq!(c.recover_shard(0), 0);
             }
-            let out = c.query_logs(r#"{app="fm"}"#, -1, i64::MAX - 1, usize::MAX).unwrap();
+            let req = QueryRequest::logs(r#"{app="fm"}"#, -1, i64::MAX - 1, usize::MAX);
+            let out = c.query(&req).unwrap().into_streams().unwrap();
             prop_assert_eq!(out.len() as i64, pushed, "no loss and no duplication");
         }
     }

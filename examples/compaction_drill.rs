@@ -27,12 +27,25 @@
 
 use shasta_mon::json::{parse, Json};
 use shasta_mon::loki::chunk::SealedChunk;
-use shasta_mon::loki::{ColdTierPolicy, Limits, LokiCluster, ObjectStore, QueryStats};
-use shasta_mon::model::{LabelSet, LogEntry, SimClock, NANOS_PER_SEC};
+use shasta_mon::loki::{
+    ColdTierPolicy, Limits, LokiCluster, ObjectStore, QueryError, QueryRequest, QueryStats,
+};
+use shasta_mon::model::{LabelSet, LogEntry, LogRecord, SimClock, Timestamp, NANOS_PER_SEC};
 use std::time::Instant;
 
 const SEED: u64 = 7;
 const HOUR: i64 = 3_600 * NANOS_PER_SEC;
+
+/// Every line of `query` in the window, with the query's statistics.
+fn read(
+    c: &LokiCluster,
+    query: &str,
+    (start, end): (Timestamp, Timestamp),
+) -> Result<(Vec<LogRecord>, QueryStats), QueryError> {
+    let response = c.query(&QueryRequest::logs(query, start, end, usize::MAX))?;
+    let stats = response.report.stats;
+    Ok((response.into_streams()?, stats))
+}
 
 /// Modeled tail-query cost: one storage round trip per object touched
 /// (hot tier priced as local disk, cold tier as a remote object-store
@@ -165,8 +178,7 @@ fn main() {
     c.frontend().invalidate_all();
     let (_, gets0) = store.objects().op_counts();
     let t0 = Instant::now();
-    let (recs_before, stats_before) =
-        c.query_logs_with_stats(archaeology, win.0, win.1, usize::MAX).expect("cold query");
+    let (recs_before, stats_before) = read(&c, archaeology, win).expect("cold query");
     let wall_before = t0.elapsed();
     let (_, gets1) = store.objects().op_counts();
     assert_eq!(recs_before.len(), 50, "the incident must be fully recovered");
@@ -179,8 +191,7 @@ fn main() {
     println!("  wall time .................. {} µs", wall_before.as_micros());
 
     let dup_win = (replay_day * 24 * HOUR - 1, (replay_day + 1) * 24 * HOUR);
-    let dup_before =
-        c.query_logs(r#"{app="replay_victim"}"#, dup_win.0, dup_win.1, usize::MAX).unwrap();
+    let (dup_before, _) = read(&c, r#"{app="replay_victim"}"#, dup_win).unwrap();
     assert_eq!(dup_before.len(), 80, "pre-compaction reads see the replayed duplicate");
 
     // ── Phase 3: compact ──────────────────────────────────────────────
@@ -204,15 +215,13 @@ fn main() {
     assert!(store.cold().object_count() > 0, "compacted data demoted to the cold tier");
     assert!(amp_after < amp_before, "amplification must drop: {amp_after} vs {amp_before}");
 
-    let dup_after =
-        c.query_logs(r#"{app="replay_victim"}"#, dup_win.0, dup_win.1, usize::MAX).unwrap();
+    let (dup_after, _) = read(&c, r#"{app="replay_victim"}"#, dup_win).unwrap();
     assert_eq!(dup_after.len(), 40, "dedup must reach cached results too");
 
     // ── Phase 4: the same archaeology, now against the cold tier ──────
     c.frontend().invalidate_all();
     let t1 = Instant::now();
-    let (recs_after, stats_after) =
-        c.query_logs_with_stats(archaeology, win.0, win.1, usize::MAX).expect("cold-tier query");
+    let (recs_after, stats_after) = read(&c, archaeology, win).expect("cold-tier query");
     let wall_after = t1.elapsed();
     assert_eq!(recs_before, recs_after, "compaction must not change query results");
     assert!(stats_after.cold_chunks_touched > 0, "the read came from the cold tier");
@@ -240,8 +249,7 @@ fn main() {
         ..Default::default()
     });
     c.frontend().invalidate_all();
-    let recs_faulty =
-        c.query_logs(archaeology, win.0, win.1, usize::MAX).expect("query under faults");
+    let (recs_faulty, _) = read(&c, archaeology, win).expect("query under faults");
     assert_eq!(recs_before, recs_faulty, "retried GETs must not change results");
     let failures = store.cold().transient_failures();
     assert!(failures > 0, "the failure coin must have fired");

@@ -13,6 +13,7 @@
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
 use shasta_mon::logql::instant_vector_to_string;
+use shasta_mon::loki::{QueryRequest, QueryResponse, QueryResult};
 use shasta_mon::model::{format_iso8601, NANOS_PER_SEC};
 use shasta_mon::shasta::{LeakZone, SwitchState};
 
@@ -59,29 +60,31 @@ fn main() {
     }
 
     let query = args.join(" ");
-    // Log query or metric query? Try logs first, fall back to metrics.
-    match stack.omni.loki().query_logs_with_stats(&query, 0, now, 50) {
-        Ok((records, stats)) => {
+    // One request reads either kind: a log query returns the window's
+    // newest lines, a metric query is evaluated at the window's end.
+    match stack.omni.loki().query(&QueryRequest::logs(query, 0, now, 50)) {
+        Ok(QueryResponse { result: QueryResult::Streams(records), report }) => {
             eprintln!(
                 "{} result(s) — scanned {} entries / {} bytes across {} streams",
                 records.len(),
-                stats.entries_scanned,
-                stats.bytes_scanned,
-                stats.streams_matched
+                report.stats.entries_scanned,
+                report.stats.bytes_scanned,
+                report.stats.streams_matched
             );
             for r in records {
                 println!("{} {} {}", format_iso8601(r.entry.ts), r.labels, r.entry.line);
             }
         }
-        Err(_) => match stack.pane.log_metric_instant(&query, now) {
-            Ok(vector) => {
-                eprintln!("instant vector at {}:", format_iso8601(now));
-                print!("{}", instant_vector_to_string(&vector));
-            }
-            Err(e) => {
-                eprintln!("query error: {e}");
-                std::process::exit(1);
-            }
-        },
+        Ok(QueryResponse { result: QueryResult::Vector(vector), .. }) => {
+            eprintln!("instant vector at {}:", format_iso8601(now));
+            print!("{}", instant_vector_to_string(&vector));
+        }
+        Ok(QueryResponse { result: QueryResult::Matrix(_), .. }) => {
+            unreachable!("a window request never returns a matrix")
+        }
+        Err(e) => {
+            eprintln!("query error: {e}");
+            std::process::exit(1);
+        }
     }
 }

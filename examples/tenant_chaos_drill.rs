@@ -27,8 +27,10 @@
 //! depend on thread interleaving and are asserted as bounds).
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
-use shasta_mon::loki::{IngestError, Limits, LokiCluster, QueryError, TenantLimits};
-use shasta_mon::model::{LabelSet, SimClock, TenantId, NANOS_PER_SEC};
+use shasta_mon::loki::{
+    IngestError, Limits, LokiCluster, QueryError, QueryRequest, QueryResponse, TenantLimits,
+};
+use shasta_mon::model::{LabelSet, LogRecord, SimClock, TenantId, Timestamp, NANOS_PER_SEC};
 use std::collections::HashMap;
 
 const SEED: u64 = 42;
@@ -82,6 +84,18 @@ impl Zipf {
 
 fn tenant(rank: usize) -> TenantId {
     TenantId::new(format!("t{rank:04}"))
+}
+
+/// Tenant `t`'s drill lines in `(start, end]`.
+fn drill_lines(
+    c: &LokiCluster,
+    t: &TenantId,
+    start: Timestamp,
+    end: Timestamp,
+    limit: usize,
+) -> Result<Vec<LogRecord>, QueryError> {
+    let req = QueryRequest::logs(r#"{app="drill"}"#, start, end, limit).with_tenant(t.clone());
+    c.query(&req).and_then(QueryResponse::into_streams)
 }
 
 fn main() {
@@ -183,10 +197,10 @@ fn main() {
             // over its query budget is shed with a typed error. Narrow
             // ranges (one split) keep these out of the fairness numbers.
             let now = clock.now();
-            c.query_logs_as(&tenant(5), r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100)
+            drill_lines(&c, &tenant(5), now - NANOS_PER_SEC, now, 100)
                 .expect("calm tenant query rejected");
             for _ in 0..5 {
-                match c.query_logs_as(&noisy, r#"{app="drill"}"#, now - NANOS_PER_SEC, now, 100) {
+                match drill_lines(&c, &noisy, now - NANOS_PER_SEC, now, 100) {
                     Ok(_) => {}
                     Err(QueryError::TenantRejected(_)) => noisy_query_rejections += 1,
                     Err(e) => panic!("non-tenant query error: {e}"),
@@ -226,8 +240,7 @@ fn main() {
     clock.advance(NANOS_PER_SEC);
     let now = clock.now();
     for rank in [0usize, 1, 5, 100, 500] {
-        let got = c
-            .query_logs_as(&tenant(rank), r#"{app="drill"}"#, 0, now + 1, usize::MAX)
+        let got = drill_lines(&c, &tenant(rank), 0, now + 1, usize::MAX)
             .expect("scoped query")
             .len() as u64;
         assert_eq!(
@@ -236,7 +249,10 @@ fn main() {
             "tenant t{rank:04} must read back exactly its accepted records"
         );
     }
-    let all = c.query_logs(r#"{app="drill"}"#, 0, now + 1, usize::MAX).expect("admin query");
+    let all = c
+        .query(&QueryRequest::logs(r#"{app="drill"}"#, 0, now + 1, usize::MAX))
+        .and_then(QueryResponse::into_streams)
+        .expect("admin query");
     assert_eq!(all.len() as u64, total_accepted, "no loss, no duplication across crashes");
 
     // ── Invariant 4: fair scheduling under a query flood ──────────────
@@ -256,8 +272,8 @@ fn main() {
             let (c, noisy) = (&c, noisy.clone());
             scope.spawn(move || {
                 let q = format!(r#"count_over_time({{app="drill"}} |= "{i}" [1s])"#);
-                c.query_range_as(&noisy, &q, 0, 48 * NANOS_PER_SEC, NANOS_PER_SEC)
-                    .expect("noisy range query");
+                let req = QueryRequest::range(q, 0, 48 * NANOS_PER_SEC, NANOS_PER_SEC);
+                c.query(&req.with_tenant(noisy)).expect("noisy range query");
             });
         }
         // Let the flood start draining, then run the calm query.
@@ -265,8 +281,8 @@ fn main() {
             std::thread::yield_now();
         }
         let probe = r#"count_over_time({app="drill"} |= "7" [1s])"#;
-        c.query_range_as(&calm, probe, 0, 8 * NANOS_PER_SEC, NANOS_PER_SEC)
-            .expect("calm range query");
+        let req = QueryRequest::range(probe, 0, 8 * NANOS_PER_SEC, NANOS_PER_SEC);
+        c.query(&req.with_tenant(calm.clone())).expect("calm range query");
     });
     let calm_wait = c.frontend().max_wait_rounds(&calm);
     let noisy_wait = c.frontend().max_wait_rounds(&noisy);
@@ -281,16 +297,11 @@ fn main() {
     assert!(streams_dropped >= 10, "short-retention tenants should age out");
     let now = clock.now();
     for rank in 100..110 {
-        let left = c
-            .query_logs_as(&tenant(rank), r#"{app="drill"}"#, 0, now, usize::MAX)
-            .expect("scoped query")
-            .len();
+        let left = drill_lines(&c, &tenant(rank), 0, now, usize::MAX).expect("scoped query").len();
         assert_eq!(left, 0, "t{rank:04} (30s retention) must be empty after 1h");
     }
-    let t5_left = c
-        .query_logs_as(&tenant(5), r#"{app="drill"}"#, 0, now, usize::MAX)
-        .expect("scoped query")
-        .len() as u64;
+    let t5_left =
+        drill_lines(&c, &tenant(5), 0, now, usize::MAX).expect("scoped query").len() as u64;
     assert_eq!(t5_left, keep_t5, "default-retention tenant must keep every record");
 
     // ── Invariant 6: self-telemetry ledger agrees with the cluster ────

@@ -70,6 +70,17 @@ chaos_b="$(cargo run -q --release --example chaos_drill)"
 cmp <(printf '%s\n' "$chaos_a") <(printf '%s\n' "$chaos_b")
 echo "$chaos_a" | grep -q "checkpoint drops" || { echo "resilience report missing"; exit 1; }
 
+echo "== golden drill outputs (stdout byte-identical to scripts/golden) =="
+# Goldens are regenerated only for an intended output change.
+for ex in quickstart leak_detection switch_offline gpfs_monitoring incident_storm chaos_drill \
+    trace_drill introspection_drill heatmap_drill; do
+    cargo run -q --release --example "$ex" | cmp - "scripts/golden/$ex.txt"
+done
+cargo run -q --release --example logcli -- '{app="fabric_manager_monitor"} |= "fm_switch_offline"' \
+    | cmp - scripts/golden/logcli_logs.txt
+cargo run -q --release --example logcli -- 'sum(count_over_time({data_type="syslog"}[10m])) by (hostname)' \
+    | cmp - scripts/golden/logcli_metric.txt
+
 echo "== WAL catalog families registered =="
 python3 - <<'PY'
 import subprocess

@@ -2,8 +2,8 @@
 //! available and more can be restored."
 
 use shasta_mon::core::Omni;
-use shasta_mon::loki::Limits;
-use shasta_mon::model::{labels, SimClock, NANOS_PER_SEC};
+use shasta_mon::loki::{Limits, LokiCluster, QueryRequest};
+use shasta_mon::model::{labels, LogRecord, SimClock, NANOS_PER_SEC};
 
 const DAY: i64 = 86_400 * NANOS_PER_SEC;
 
@@ -21,7 +21,7 @@ fn data_within_two_years_is_hot() {
     }
     omni.clock().set(730 * DAY);
     omni.loki().enforce_retention();
-    let records = omni.loki().query_logs(r#"{app="history"}"#, 0, 731 * DAY, 1000).unwrap();
+    let records = logs(omni.loki(), r#"{app="history"}"#, 0, 731 * DAY, 1000);
     // Everything still within the window stays queryable.
     assert!(records.len() >= 24, "got {}", records.len());
 }
@@ -39,13 +39,12 @@ fn data_beyond_two_years_expires_but_restores_from_archive() {
     // Three years later the hot copy is gone.
     omni.clock().set(3 * 365 * DAY);
     omni.loki().enforce_retention();
-    assert!(omni.loki().query_logs(r#"{app="ancient"}"#, 0, 2 * DAY, 10).unwrap().is_empty());
+    assert!(logs(omni.loki(), r#"{app="ancient"}"#, 0, 2 * DAY, 10).is_empty());
 
     // "more can be restored": bring it back from cold storage.
     let restored = omni.restore_window(0, 2 * DAY);
     assert_eq!(restored, 1);
-    let back =
-        omni.loki().query_logs(r#"{app="ancient", restored="true"}"#, 0, 2 * DAY, 10).unwrap();
+    let back = logs(omni.loki(), r#"{app="ancient", restored="true"}"#, 0, 2 * DAY, 10);
     assert_eq!(back.len(), 1);
     assert_eq!(back[0].entry.line, "from the before-times");
 }
@@ -66,4 +65,8 @@ fn retention_also_applies_to_tsdb_blocks() {
     }
     let dropped = db.enforce_retention(800 * DAY);
     assert!(dropped > 0, "blocks fully behind the horizon must drop");
+}
+
+fn logs(loki: &LokiCluster, query: &str, start: i64, end: i64, limit: usize) -> Vec<LogRecord> {
+    loki.query(&QueryRequest::logs(query, start, end, limit)).unwrap().into_streams().unwrap()
 }

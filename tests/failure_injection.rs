@@ -2,8 +2,9 @@
 //! fed garbage, backlogged, or queried adversarially.
 
 use shasta_mon::core::{MonitoringStack, StackConfig};
-use shasta_mon::loki::{IngestError, Limits, LokiCluster};
-use shasta_mon::model::{labels, SimClock, NANOS_PER_SEC};
+use shasta_mon::logql::InstantVector;
+use shasta_mon::loki::{IngestError, Limits, LokiCluster, QueryRequest};
+use shasta_mon::model::{labels, LogRecord, SimClock, NANOS_PER_SEC};
 
 const MINUTE: i64 = 60 * NANOS_PER_SEC;
 
@@ -69,7 +70,7 @@ fn regex_bomb_in_query_fails_safe() {
     loki.push(labels!("app" => "x"), 1, line).unwrap();
     // Pathological backtracking pattern: the engine's step budget turns it
     // into a non-match instead of a hang.
-    let out = loki.query_logs(r#"{app="x"} |~ "(a+)+$""#, 0, 10, 10).unwrap();
+    let out = logs(&loki, r#"{app="x"} |~ "(a+)+$""#, 0, 10, 10);
     assert!(out.is_empty());
 }
 
@@ -116,8 +117,8 @@ fn slow_tail_subscriber_drops_but_pipeline_continues() {
 #[test]
 fn query_against_empty_store_is_clean() {
     let loki = LokiCluster::new(4, Limits::default(), SimClock::starting_at(0));
-    assert!(loki.query_logs(r#"{any="thing"}"#, 0, i64::MAX / 2, 10).unwrap().is_empty());
-    assert!(loki.query_instant(r#"sum(count_over_time({a="b"}[1h]))"#, MINUTE).unwrap().is_empty());
+    assert!(logs(&loki, r#"{any="thing"}"#, 0, i64::MAX / 2, 10).is_empty());
+    assert!(vector(&loki, r#"sum(count_over_time({a="b"}[1h]))"#, MINUTE).is_empty());
 }
 
 #[test]
@@ -142,4 +143,12 @@ fn alert_storm_does_not_wedge_the_stack() {
     assert!(notified < received, "grouping must compress the storm");
     let (_, errors, _) = stack.bridge_stats();
     assert_eq!(errors, 0);
+}
+
+fn logs(loki: &LokiCluster, query: &str, start: i64, end: i64, limit: usize) -> Vec<LogRecord> {
+    loki.query(&QueryRequest::logs(query, start, end, limit)).unwrap().into_streams().unwrap()
+}
+
+fn vector(loki: &LokiCluster, query: &str, at: i64) -> InstantVector {
+    loki.query(&QueryRequest::instant(query, at)).unwrap().into_vector().unwrap()
 }

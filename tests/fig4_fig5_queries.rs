@@ -3,8 +3,9 @@
 //! event time and back after the 60-minute window).
 
 use shasta_mon::core::redfish_to_loki;
-use shasta_mon::loki::{Limits, LokiCluster};
-use shasta_mon::model::{SimClock, NANOS_PER_SEC};
+use shasta_mon::logql::{InstantVector, Matrix};
+use shasta_mon::loki::{Limits, LokiCluster, QueryRequest};
+use shasta_mon::model::{LogRecord, SimClock, NANOS_PER_SEC};
 use shasta_mon::redfish::RedfishEvent;
 
 const HOUR: i64 = 3_600 * NANOS_PER_SEC;
@@ -22,9 +23,8 @@ fn loki_with_paper_event() -> (LokiCluster, i64) {
 #[test]
 fn fig4_event_query_returns_the_event() {
     let (loki, ts) = loki_with_paper_event();
-    let records = loki
-        .query_logs(r#"{data_type="redfish_event"} |= "CabinetLeakDetected""#, 0, ts + HOUR, 100)
-        .unwrap();
+    let records =
+        logs(&loki, r#"{data_type="redfish_event"} |= "CabinetLeakDetected""#, 0, ts + HOUR, 100);
     assert_eq!(records.len(), 1);
     assert_eq!(records[0].entry.ts, ts);
     assert_eq!(records[0].labels.get("Context"), Some("x1203c1b0"));
@@ -39,10 +39,7 @@ fn fig4_unrelated_filters_return_nothing() {
         r#"{data_type="syslog"}"#,
         r#"{data_type="redfish_event", Context="x9999c9b9"}"#,
     ] {
-        assert!(
-            loki.query_logs(q, 0, ts + HOUR, 100).unwrap().is_empty(),
-            "query {q} should be empty"
-        );
+        assert!(logs(&loki, q, 0, ts + HOUR, 100).is_empty(), "query {q} should be empty");
     }
 }
 
@@ -53,7 +50,7 @@ fn fig5_paper_query_steps_zero_to_one() {
     // stage's extracted names).
     let query = r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" | json [60m])) by (Severity, cluster, Context, MessageId, Message)"#;
     let step = 10 * 60 * NANOS_PER_SEC;
-    let matrix = loki.query_range(query, event_ts - HOUR, event_ts + 2 * HOUR, step).unwrap();
+    let matrix = matrix(&loki, query, event_ts - HOUR, event_ts + 2 * HOUR, step);
     assert_eq!(matrix.len(), 1, "one leak location -> one series");
     let (labels, samples) = &matrix[0];
     // "sum(...) by (...)" groups by the extracted labels.
@@ -90,12 +87,11 @@ fn fig5_multiple_locations_return_multiple_vectors() {
         ev.context = context.parse().unwrap();
         loki.push_record(redfish_to_loki(&ev, "perlmutter")).unwrap();
     }
-    let v = loki
-        .query_instant(
-            r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" | json [60m])) by (Context)"#,
-            base.timestamp + NANOS_PER_SEC,
-        )
-        .unwrap();
+    let v = vector(
+        &loki,
+        r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" | json [60m])) by (Context)"#,
+        base.timestamp + NANOS_PER_SEC,
+    );
     assert_eq!(v.len(), 3);
     assert!(v.iter().all(|(_, count)| *count == 1.0));
     let mut contexts: Vec<&str> = v.iter().map(|(l, _)| l.get("Context").unwrap()).collect();
@@ -113,12 +109,23 @@ fn fig5_sum_collapses_without_grouping() {
         ev.context = context.parse().unwrap();
         loki.push_record(redfish_to_loki(&ev, "perlmutter")).unwrap();
     }
-    let v = loki
-        .query_instant(
-            r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" [60m]))"#,
-            base.timestamp + NANOS_PER_SEC,
-        )
-        .unwrap();
+    let v = vector(
+        &loki,
+        r#"sum(count_over_time({data_type="redfish_event"} |= "CabinetLeakDetected" [60m]))"#,
+        base.timestamp + NANOS_PER_SEC,
+    );
     assert_eq!(v.len(), 1);
     assert_eq!(v[0].1, 2.0);
+}
+
+fn logs(loki: &LokiCluster, query: &str, start: i64, end: i64, limit: usize) -> Vec<LogRecord> {
+    loki.query(&QueryRequest::logs(query, start, end, limit)).unwrap().into_streams().unwrap()
+}
+
+fn vector(loki: &LokiCluster, query: &str, at: i64) -> InstantVector {
+    loki.query(&QueryRequest::instant(query, at)).unwrap().into_vector().unwrap()
+}
+
+fn matrix(loki: &LokiCluster, query: &str, start: i64, end: i64, step: i64) -> Matrix {
+    loki.query(&QueryRequest::range(query, start, end, step)).unwrap().into_matrix().unwrap()
 }
